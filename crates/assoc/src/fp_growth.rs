@@ -30,7 +30,7 @@ use crate::{ItemsetMiner, MinSupport, MiningResult};
 use dm_dataset::{DataError, TransactionDb};
 use dm_guard::{Guard, Outcome, TruncationReason};
 use dm_obs::HeapSize;
-use dm_par::{par_chunks_map_reduce_governed, Chunking, Parallelism};
+use dm_par::{par_range_map_reduce_governed, Chunking, Parallelism};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -193,15 +193,15 @@ impl FpGrowth {
         guard: &Guard,
     ) -> Result<Vec<usize>, TruncationReason> {
         let n_items = db.n_items() as usize;
-        par_chunks_map_reduce_governed(
+        par_range_map_reduce_governed(
             self.parallelism,
             Chunking::PerThread,
-            db.transactions(),
+            db.len(),
             guard,
             || vec![0usize; n_items],
             |shard| {
                 let mut counts = vec![0usize; n_items];
-                for (t, txn) in shard.iter().enumerate() {
+                for (t, txn) in db.transactions()[shard].iter().enumerate() {
                     if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
                         break;
                     }

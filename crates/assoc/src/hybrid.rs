@@ -21,7 +21,7 @@ use dm_dataset::transactions::is_subset_sorted;
 use dm_dataset::{DataError, TransactionDb};
 use dm_guard::{Guard, Outcome, TruncationReason};
 use dm_obs::HeapSize;
-use dm_par::{par_chunks_map_reduce_governed, Chunking, Parallelism};
+use dm_par::{par_range_map_reduce_governed, Chunking, Parallelism};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -237,15 +237,15 @@ fn apriori_count(
         );
         obs.gauge_max("assoc.mem.hashtree_bytes", bytes);
     }
-    let state = par_chunks_map_reduce_governed(
+    let state = par_range_map_reduce_governed(
         par,
         Chunking::PerThread,
-        db.transactions(),
+        db.len(),
         guard,
         || tree.new_count_state(),
         |shard| {
             let mut state = tree.new_count_state();
-            for (t, txn) in shard.iter().enumerate() {
+            for (t, txn) in db.transactions()[shard].iter().enumerate() {
                 if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
                     break;
                 }

@@ -43,7 +43,6 @@ fn all_miners(min: MinSupport) -> Vec<Box<dyn ItemsetMiner>> {
         Box::new(Setm::new(min)),
         Box::new(FpGrowth::new(min)),
         Box::new(Eclat::new(min)),
-        Box::new(Apriori::new(min).with_vertical_pass2(true)),
     ]
 }
 

@@ -247,13 +247,18 @@ pub fn e18_trace(guard: &Guard) -> Result<String, DataError> {
                         resolved += 1;
                     }
                     // Replay the exemplar observation into the
-                    // experiment recorder, so the run's `--prom`
-                    // capture carries OpenMetrics exemplar lines (the
-                    // CI trace-smoke step validates them). The values
+                    // experiment recorder, once per observation in its
+                    // bucket, so the run's `--prom` capture carries
+                    // OpenMetrics exemplar lines (the CI trace-smoke
+                    // step validates them) and the replayed histogram
+                    // counts the 8 requests, not the number of buckets
+                    // their wall-clock latencies fell into. The values
                     // are wall-clock: `_ns` names keep them in the
                     // ledger's noisy class.
                     if obs.enabled() {
-                        obs.value_traced(name, ex.value, TraceId(ex.trace_id));
+                        for _ in 0..count {
+                            obs.value_traced(name, ex.value, TraceId(ex.trace_id));
+                        }
                     }
                 }
             }
@@ -365,6 +370,9 @@ mod tests {
         // Exemplars: 8 observations, every populated bucket resolves.
         assert_eq!(snap.counter("trace.e18.exemplar.observations"), Some(8));
         assert_eq!(snap.counter("trace.e18.exemplar.full_coverage"), Some(1));
+        // The replayed latency histogram counts requests, not buckets.
+        let replayed = &snap.histograms["serve.latency.predict_ns"];
+        assert_eq!(replayed.count, 8, "{report}");
         // The re-exported sampler series accumulated across sections.
         assert!(snap.counter("trace.retained").unwrap_or(0) >= 8);
     }

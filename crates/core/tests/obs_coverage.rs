@@ -474,10 +474,6 @@ fn every_emitted_metric_name_follows_the_convention() {
             .with_parallelism(Parallelism::Threads(2))
             .mine_governed(&db, g)
             .unwrap();
-        Apriori::new(MinSupport::Fraction(0.02))
-            .with_vertical_pass2(true)
-            .mine_governed(&db, g)
-            .unwrap();
         mine_governed(&db, MinSupport::Fraction(0.02), Method::Auto, g).unwrap();
         KMeans::new(3)
             .with_seed(1)

@@ -1,11 +1,11 @@
 //! Property test for the `dm_par` fold/merge algebra: for an
 //! associative, boundary-insensitive merge (wrapping sum of per-item
-//! hashes), `par_chunks_map_reduce` must equal the plain sequential
+//! hashes), `par_range_map_reduce` must equal the plain sequential
 //! fold for *any* chunk size, thread count, and input.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use dm_core::par::{par_chunks_map_reduce, par_range_map_reduce, Chunking, Parallelism};
+use dm_core::par::{par_range_map_reduce, Chunking, Parallelism};
 use proptest::prelude::*;
 
 fn hash(x: u64) -> u64 {
@@ -27,40 +27,15 @@ proptest! {
             .iter()
             .fold(0u64, |acc, &x| acc.wrapping_add(hash(x)));
         for chunking in [Chunking::Fixed(chunk), Chunking::PerThread] {
-            let got = par_chunks_map_reduce(
+            let got = par_range_map_reduce(
                 Parallelism::Threads(threads),
                 chunking,
-                &items,
+                items.len(),
                 || 0u64,
-                |c| c.iter().fold(0u64, |acc, &x| acc.wrapping_add(hash(x))),
+                |r| items[r].iter().fold(0u64, |acc, &x| acc.wrapping_add(hash(x))),
                 |a, b| a.wrapping_add(b),
             );
             prop_assert_eq!(got, expected);
         }
-    }
-
-    #[test]
-    fn range_and_slice_variants_agree(
-        items in proptest::collection::vec(0u64..u64::MAX, 0..300),
-        chunk in 1usize..48,
-        threads in 1usize..7,
-    ) {
-        let by_slice = par_chunks_map_reduce(
-            Parallelism::Threads(threads),
-            Chunking::Fixed(chunk),
-            &items,
-            || 0u64,
-            |c| c.iter().fold(0u64, |acc, &x| acc.wrapping_add(hash(x))),
-            |a, b| a.wrapping_add(b),
-        );
-        let by_range = par_range_map_reduce(
-            Parallelism::Threads(threads),
-            Chunking::Fixed(chunk),
-            items.len(),
-            || 0u64,
-            |r| r.fold(0u64, |acc, i| acc.wrapping_add(hash(items[i]))),
-            |a, b| a.wrapping_add(b),
-        );
-        prop_assert_eq!(by_slice, by_range);
     }
 }

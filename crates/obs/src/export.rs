@@ -10,6 +10,7 @@
 //!   counters, gauges and histograms (cumulative `le` buckets).
 
 use crate::hist::bucket_max;
+use crate::json::json_string;
 use crate::{Snapshot, SpanNode};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
@@ -83,20 +84,51 @@ fn resolve(snap: &Snapshot) -> (Vec<Closed<'_>>, BTreeMap<u64, Vec<usize>>) {
     (spans, children)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// The one chrome://tracing "trace event" JSON writer: it owns the
+/// envelope, the separators between events and the per-event line, for
+/// both the span-tree export ([`chrome_trace`]) and the per-request
+/// export ([`crate::trace::chrome_trace_request`]).
+pub(crate) struct ChromeEvents {
+    out: String,
+    first: bool,
+}
+
+impl ChromeEvents {
+    pub(crate) fn new() -> Self {
+        Self {
+            out: String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": ["),
+            first: true,
         }
     }
-    out
+
+    /// Appends one event with `ts` in microseconds. `extra` is written
+    /// verbatim after the `tid` field (e.g. `, "args": {…}`).
+    pub(crate) fn event(
+        &mut self,
+        name: &str,
+        cat: &str,
+        ph: char,
+        ts_ns: u64,
+        tid: u32,
+        extra: &str,
+    ) {
+        let sep = if self.first { "" } else { "," };
+        self.first = false;
+        let _ = write!(
+            self.out,
+            "{sep}\n  {{\"name\": {}, \"cat\": \"{cat}\", \"ph\": \"{ph}\", \"ts\": {:.3}, \"pid\": 1, \"tid\": {tid}{extra}}}",
+            json_string(name),
+            ts_ns as f64 / 1e3,
+        );
+    }
+
+    pub(crate) fn finish(mut self) -> String {
+        if !self.first {
+            self.out.push('\n');
+        }
+        self.out.push_str("]}");
+        self.out
+    }
 }
 
 /// Renders the span tree as chrome://tracing "trace event" JSON.
@@ -110,32 +142,17 @@ fn json_escape(s: &str) -> String {
 /// in `chrome://tracing` or [ui.perfetto.dev](https://ui.perfetto.dev).
 pub fn chrome_trace(snap: &Snapshot) -> String {
     let (spans, children) = resolve(snap);
-    let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [");
-    let mut first = true;
+    let mut events = ChromeEvents::new();
     // Depth-first over roots; an explicit stack of (slot, next-child)
     // keeps B/E strictly balanced per thread lane.
     let roots = children.get(&0).cloned().unwrap_or_default();
     let mut stack: Vec<(usize, usize)> = Vec::new();
-    let emit = |out: &mut String, first: &mut bool, s: &Closed<'_>, ph: char, ts_ns: u64| {
-        let sep = if *first { "" } else { "," };
-        *first = false;
-        let _ = write!(
-            out,
-            "{sep}\n  {{\"name\": \"{}\", \"cat\": \"dm\", \"ph\": \"{ph}\", \"ts\": {:.3}, \"pid\": 1, \"tid\": {}}}",
-            json_escape(&s.node.name),
-            ts_ns as f64 / 1e3,
-            s.node.tid
-        );
+    let mut emit = |s: &Closed<'_>, ph: char, ts_ns: u64| {
+        events.event(&s.node.name, "dm", ph, ts_ns, s.node.tid, "");
     };
     for root in roots {
         stack.push((root, 0));
-        emit(
-            &mut out,
-            &mut first,
-            &spans[root],
-            'B',
-            spans[root].start_ns,
-        );
+        emit(&spans[root], 'B', spans[root].start_ns);
         while let Some(&mut (slot, ref mut next)) = stack.last_mut() {
             let kids = children
                 .get(&spans[slot].node.id)
@@ -145,24 +162,14 @@ pub fn chrome_trace(snap: &Snapshot) -> String {
                 let child = kids[*next];
                 *next += 1;
                 stack.push((child, 0));
-                emit(
-                    &mut out,
-                    &mut first,
-                    &spans[child],
-                    'B',
-                    spans[child].start_ns,
-                );
+                emit(&spans[child], 'B', spans[child].start_ns);
             } else {
-                emit(&mut out, &mut first, &spans[slot], 'E', spans[slot].end_ns);
+                emit(&spans[slot], 'E', spans[slot].end_ns);
                 stack.pop();
             }
         }
     }
-    if !first {
-        out.push('\n');
-    }
-    out.push_str("]}");
-    out
+    events.finish()
 }
 
 /// Renders the span tree as folded-stack lines for flamegraph tools:
@@ -292,10 +299,11 @@ mod tests {
 
     fn sample() -> Snapshot {
         let rec = InMemoryRecorder::new();
-        // Span durations are explicit: a live `obs.span` leaf can
-        // measure 0 ns under load, and folded_stacks rightly drops
-        // zero-self-time frames — the fixture must not depend on the
-        // clock's resolution.
+        // Span durations and start offsets are explicit: a live
+        // `obs.span` leaf can measure 0 ns under load, and a child that
+        // opens (by the live clock) after its parent's hand-set end is
+        // clamped to zero width; folded_stacks rightly drops
+        // zero-self-time frames, so the fixture must not read the clock.
         let e = rec.span_begin("experiment.e1", SpanId::ROOT);
         let p1 = rec.span_begin("assoc.apriori.pass1", e);
         let s0 = rec.span_begin("par.shard0", p1);
@@ -309,7 +317,12 @@ mod tests {
         obs.gauge("assoc.mem.db_bytes", 1024.0);
         obs.value("par.shard.items", 100);
         obs.value("par.shard.items", 900);
-        rec.snapshot()
+        let mut snap = rec.snapshot();
+        // Open order: experiment, pass1, shard0, pass2.
+        for (node, start_ns) in snap.tree.iter_mut().zip([0, 50, 100, 400]) {
+            node.start_ns = start_ns;
+        }
+        snap
     }
 
     #[test]
@@ -365,7 +378,13 @@ mod tests {
         rec.span_end(pass, "assoc.apriori.pass2", 5_000);
         rec.span_end(parent, "experiment.e1", 9_000);
 
-        let json = chrome_trace(&rec.snapshot());
+        let mut snap = rec.snapshot();
+        // Explicit start offsets (open order: experiment, pass, then the
+        // two shards), so no span is clamped by the live clock.
+        for (node, start_ns) in snap.tree.iter_mut().zip([0, 100, 200, 1_500]) {
+            node.start_ns = start_ns;
+        }
+        let json = chrome_trace(&snap);
         let mut stacks: std::collections::HashMap<String, Vec<String>> =
             std::collections::HashMap::new();
         let field = |line: &str, key: &str| -> String {

@@ -1,4 +1,5 @@
-//! A minimal, dependency-free JSON reader for the run ledger.
+//! A minimal, dependency-free JSON reader for the run ledger, plus
+//! [`json_string`], the one string escaper every JSON writer uses.
 //!
 //! The workspace *writes* JSON by hand ([`crate::Snapshot::to_json`],
 //! the exporters) but until the ledger nothing ever had to *read* it
@@ -15,6 +16,29 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
+
+/// Escapes `s` as a JSON string literal (quotes included): the one
+/// string escaper behind every JSON document the workspace writes.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 /// A parsed JSON value. Object keys are kept sorted (`BTreeMap`), which
 /// matches the deterministic sorted-key serialization used everywhere

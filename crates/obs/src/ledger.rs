@@ -31,7 +31,7 @@
 //! `dm-bench`) is the command-line surface.
 
 use crate::hist::{bucket_index, bucket_max};
-use crate::json::{parse, Json, JsonError};
+use crate::json::{json_string, parse, Json, JsonError};
 use crate::{Histogram, Snapshot};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -179,11 +179,6 @@ pub struct RunRecord {
 // Serialization
 // ---------------------------------------------------------------------------
 
-/// Escapes `s` as a JSON string literal (quotes included).
-fn jstr(s: &str) -> String {
-    crate::json_string(s)
-}
-
 /// Formats a finite `f64` exactly as [`Snapshot::to_json`] does.
 fn jf64(v: f64) -> String {
     crate::json_f64(v)
@@ -202,7 +197,12 @@ fn write_map<K: AsRef<str>, V, F: Fn(&V) -> String>(
     out.push('{');
     for (i, (k, v)) in map.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
-        let _ = write!(out, "{sep}\n{indent}  {}: {}", jstr(k.as_ref()), render(v));
+        let _ = write!(
+            out,
+            "{sep}\n{indent}  {}: {}",
+            json_string(k.as_ref()),
+            render(v)
+        );
     }
     let _ = write!(out, "\n{indent}}}");
 }
@@ -248,10 +248,10 @@ impl RunRecord {
         let mut out = String::with_capacity(4096);
         let _ = write!(out, "{{\n  \"ledger_schema\": {LEDGER_SCHEMA},");
         let _ = write!(out, "\n  \"created_unix_ms\": {},", self.created_unix_ms);
-        let _ = write!(out, "\n  \"git_rev\": {},", jstr(&self.git_rev));
-        let _ = write!(out, "\n  \"label\": {},", jstr(&self.label));
+        let _ = write!(out, "\n  \"git_rev\": {},", json_string(&self.git_rev));
+        let _ = write!(out, "\n  \"label\": {},", json_string(&self.label));
         out.push_str("\n  \"config\": ");
-        write_map(&mut out, "  ", &self.config, |v: &String| jstr(v));
+        write_map(&mut out, "  ", &self.config, |v: &String| json_string(v));
         out.push_str(",\n  \"experiments\": ");
         if self.experiments.is_empty() {
             out.push_str("{}");
@@ -259,10 +259,10 @@ impl RunRecord {
             out.push('{');
             for (i, (id, run)) in self.experiments.iter().enumerate() {
                 let sep = if i == 0 { "" } else { "," };
-                let _ = write!(out, "{sep}\n    {}: {{", jstr(id));
+                let _ = write!(out, "{sep}\n    {}: {{", json_string(id));
                 let _ = write!(out, "\n      \"wall_ms\": {},", jf64(run.wall_ms));
                 let truncated = match &run.truncated {
-                    Some(r) => jstr(r),
+                    Some(r) => json_string(r),
                     None => "null".into(),
                 };
                 let _ = write!(out, "\n      \"truncated\": {truncated},");
@@ -532,7 +532,7 @@ impl MetricValue {
         match self {
             Self::U64(v) => v.to_string(),
             Self::F64(v) => jf64(*v),
-            Self::Text(s) => jstr(s),
+            Self::Text(s) => json_string(s),
         }
     }
 
@@ -709,10 +709,10 @@ impl RecordDiff {
                 out,
                 "{sep}\n    {{\"experiment\": {}, \"kind\": {}, \"class\": {}, \"name\": {}, \
                  \"base\": {}, \"current\": {}, \"delta\": {delta}, \"relative\": {rel}}}",
-                jstr(&e.experiment),
-                jstr(e.kind.as_str()),
-                jstr(e.class.as_str()),
-                jstr(&e.name),
+                json_string(&e.experiment),
+                json_string(e.kind.as_str()),
+                json_string(e.class.as_str()),
+                json_string(&e.name),
                 side(&e.base),
                 side(&e.current),
             );
@@ -1167,7 +1167,8 @@ pub fn snapshot_json_tagged(snap: &Snapshot, truncated: Option<&str>) -> String 
         None => json,
         Some(reason) => {
             let schema_prefix = format!("{{\n  \"schema\": {},", crate::SNAPSHOT_SCHEMA);
-            let tagged_prefix = format!("{schema_prefix}\n  \"truncated\": {},", jstr(reason));
+            let tagged_prefix =
+                format!("{schema_prefix}\n  \"truncated\": {},", json_string(reason));
             json.replacen(&schema_prefix, &tagged_prefix, 1)
         }
     }

@@ -101,6 +101,7 @@ pub use heap::HeapSize;
 pub use hist::{Exemplar, Histogram};
 pub use trace::TraceId;
 
+use json::json_string;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -850,27 +851,6 @@ impl Snapshot {
         }
         Ok(snap)
     }
-}
-
-/// Escapes `s` as a JSON string literal (quotes included).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Formats an `f64` as a JSON value (`null` for non-finite values).

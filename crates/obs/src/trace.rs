@@ -48,6 +48,7 @@
 //! and a chrome://tracing export whose slices carry the `trace_id` as
 //! args (the "linked slice" form Perfetto surfaces next to exemplars).
 
+use crate::export::ChromeEvents;
 use crate::heap::HeapSize;
 use crate::json::{self, Json};
 use crate::{json_string, Obs};
@@ -934,49 +935,30 @@ pub fn render_show(t: &RequestTrace) -> String {
 /// is the "linked slice" form Perfetto can join against histogram
 /// exemplars.
 pub fn chrome_trace_request(t: &RequestTrace) -> String {
-    let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [");
-    let mut first = true;
-    let id = t.id.to_string();
-    let emit = |line: String, out: &mut String, first: &mut bool| {
-        let sep = if *first { "" } else { "," };
-        *first = false;
-        let _ = write!(out, "{sep}\n  {line}");
-    };
-    let slice = |name: &str, ph: char, ts_ns: u64| {
-        format!(
-            "{{\"name\": \"{name}\", \"cat\": \"trace\", \"ph\": \"{ph}\", \"ts\": {:.3}, \"pid\": 1, \"tid\": 1, \"args\": {{\"trace_id\": \"{id}\"}}}}",
-            ts_ns as f64 / 1e3
-        )
+    let mut events = ChromeEvents::new();
+    let args = format!(", \"args\": {{\"trace_id\": \"{}\"}}", t.id);
+    let slice = |events: &mut ChromeEvents, name: &str, ph: char, ts_ns: u64| {
+        events.event(name, "trace", ph, ts_ns, 1, &args);
     };
     let request = format!("request {}", t.endpoint);
-    emit(slice(&request, 'B', 0), &mut out, &mut first);
+    slice(&mut events, &request, 'B', 0);
     if t.queue_ns > 0 || t.exec_ns > 0 {
-        emit(slice("queue", 'B', 0), &mut out, &mut first);
-        emit(slice("queue", 'E', t.queue_ns), &mut out, &mut first);
-        emit(slice("exec", 'B', t.queue_ns), &mut out, &mut first);
-        emit(
-            slice("exec", 'E', t.queue_ns + t.exec_ns),
-            &mut out,
-            &mut first,
-        );
+        slice(&mut events, "queue", 'B', 0);
+        slice(&mut events, "queue", 'E', t.queue_ns);
+        slice(&mut events, "exec", 'B', t.queue_ns);
+        slice(&mut events, "exec", 'E', t.queue_ns + t.exec_ns);
     }
     for ev in &t.events {
-        let ts = ev.at_ns.min(t.total_ns);
-        emit(
-            format!(
-                "{{\"name\": \"{}\", \"cat\": \"trace\", \"ph\": \"i\", \"ts\": {:.3}, \"pid\": 1, \"tid\": 1, \"s\": \"t\", \"args\": {{\"trace_id\": \"{id}\", \"detail\": {}}}}}",
-                ev.kind.label(),
-                ts as f64 / 1e3,
-                json_string(&event_detail(&ev.kind))
-            ),
-            &mut out,
-            &mut first,
+        let instant = format!(
+            ", \"s\": \"t\", \"args\": {{\"trace_id\": \"{}\", \"detail\": {}}}",
+            t.id,
+            json_string(&event_detail(&ev.kind))
         );
+        let ts = ev.at_ns.min(t.total_ns);
+        events.event(ev.kind.label(), "trace", 'i', ts, 1, &instant);
     }
-    emit(slice(&request, 'E', t.total_ns), &mut out, &mut first);
-    out.push('\n');
-    out.push_str("]}");
-    out
+    slice(&mut events, &request, 'E', t.total_ns);
+    events.finish()
 }
 
 #[cfg(test)]

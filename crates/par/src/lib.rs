@@ -6,12 +6,15 @@
 //!
 //! ## Execution model
 //!
-//! Work is expressed as *chunked map-reduce*: the input slice is cut
-//! into chunks, each chunk is mapped to a partial accumulator, and the
-//! partials are merged **in chunk order** (a left fold starting from
+//! Work is expressed as *chunked map-reduce*: the index range `0..len`
+//! is cut into chunks, each chunk's sub-range is mapped to a partial
+//! accumulator (slice kernels map `|r| f(&items[r])`), and the partials
+//! are merged **in chunk order** (a left fold starting from
 //! `identity()`). Threads claim contiguous blocks of chunks, so the
 //! only effect of the thread count is *where* chunks execute — never
-//! which chunks exist or the order their results merge in.
+//! which chunks exist or the order their results merge in. One private
+//! engine implements this for both [`par_range_map_reduce`] and its
+//! guarded twin [`par_range_map_reduce_governed`].
 //!
 //! ## Determinism guarantee
 //!
@@ -59,6 +62,8 @@
 
 use dm_guard::{Guard, TruncationReason};
 use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::time::Instant;
 
 /// How many worker threads a parallel kernel may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -100,7 +105,7 @@ pub enum Chunking {
 }
 
 /// Nanoseconds since `t0`, saturating at `u64::MAX`.
-fn elapsed_ns(t0: std::time::Instant) -> u64 {
+fn elapsed_ns(t0: Instant) -> u64 {
     t0.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
@@ -113,117 +118,123 @@ fn layout(len: usize, chunking: Chunking, threads: usize) -> (usize, usize) {
     (chunk, len.div_ceil(chunk))
 }
 
-/// Chunked map-reduce over `items`.
+/// The one chunked map-reduce engine behind both public entry points.
 ///
-/// Cuts `items` into chunks per `chunking`, maps every chunk with
-/// `map`, and left-folds the partial results **in chunk order** with
-/// `merge`, starting from `identity()`. With `Parallelism::Sequential`
-/// (or one effective thread, or a single chunk) everything runs on the
-/// calling thread through the *same* chunk structure, which is what
-/// makes the parallel and sequential results comparable bit-for-bit
-/// under [`Chunking::Fixed`].
+/// Cuts `0..len` into chunks per `chunking`, maps every chunk's index
+/// range, and left-folds the partial results **in chunk order** with
+/// `merge`, starting from `identity()`. With one effective thread or a
+/// single chunk everything runs on the calling thread through the
+/// *same* chunk structure, which is what makes the parallel and
+/// sequential results comparable bit-for-bit under [`Chunking::Fixed`].
+/// Otherwise each worker fills a contiguous block of per-chunk result
+/// slots (handed out with `chunks_mut`, so no locks) and the calling
+/// thread folds the slots.
 ///
-/// Empty input returns `identity()` without calling `map`.
-pub fn par_chunks_map_reduce<T, A>(
+/// `guard` adds the check sites — before the pass, before every
+/// sequential chunk, a worker poll before every parallel chunk, and once
+/// after the workers join — and the `par.shard*` telemetry. Without a
+/// guard nothing is checked, no clock is read and nothing is recorded.
+fn map_reduce<A: Send>(
     par: Parallelism,
     chunking: Chunking,
-    items: &[T],
+    len: usize,
+    guard: Option<&Guard>,
     identity: impl Fn() -> A,
-    map: impl Fn(&[T]) -> A + Sync,
+    map: impl Fn(Range<usize>) -> A + Sync,
     merge: impl Fn(A, A) -> A,
-) -> A
-where
-    T: Sync,
-    A: Send,
-{
-    let len = items.len();
+) -> Result<A, TruncationReason> {
+    let check = || guard.map_or(Ok(()), Guard::check);
+    check()?;
     if len == 0 {
-        return identity();
+        return Ok(identity());
     }
     let threads = par.effective_threads();
     let (chunk, n_chunks) = layout(len, chunking, threads);
+    let range = |ci: usize| {
+        let lo = ci * chunk;
+        lo..(lo + chunk).min(len)
+    };
+    // Per-shard telemetry (`par.shard<w>.{busy_ns,items}`) is collected
+    // only when the guard carries a recorder, so the ungoverned/noop
+    // path never reads the clock.
+    let obs = guard.map(Guard::obs);
+    let recorded = obs.is_some_and(|o| o.enabled());
+    let record = |w: usize, t0: Option<Instant>, items: u64| {
+        if let (Some(obs), Some(t0)) = (obs, t0) {
+            obs.counter_fmt(format_args!("par.shard{w}.items"), items);
+            obs.counter_fmt(format_args!("par.shard{w}.busy_ns"), elapsed_ns(t0));
+            obs.value("par.shard.items", items);
+        }
+    };
     if threads == 1 || n_chunks == 1 {
-        return items
-            .chunks(chunk)
-            .fold(identity(), |acc, c| merge(acc, map(c)));
+        let t0 = recorded.then(Instant::now);
+        let _shard_span = obs.map(|o| o.span("par.shard0"));
+        let mut acc = identity();
+        for ci in 0..n_chunks {
+            check()?;
+            acc = merge(acc, map(range(ci)));
+        }
+        record(0, t0, len as u64);
+        return Ok(acc);
     }
-
-    // Each worker fills a contiguous block of per-chunk result slots, so
-    // the slot vector can be handed out with `chunks_mut` — no locks.
+    // Shard spans cannot inherit the caller's span through the worker
+    // threads' (empty) span stacks — hand the parent over explicitly.
+    let parent = obs.map(|o| o.current_span());
     let mut slots: Vec<Option<A>> = (0..n_chunks).map(|_| None).collect();
     let per_worker = n_chunks.div_ceil(threads);
     std::thread::scope(|s| {
         for (w, block) in slots.chunks_mut(per_worker).enumerate() {
-            let map = &map;
+            let (map, range, record) = (&map, &range, &record);
             s.spawn(move || {
+                let t0 = recorded.then(Instant::now);
+                let _shard_span = obs
+                    .zip(parent)
+                    .map(|(o, p)| o.span_child_fmt(format_args!("par.shard{w}"), p));
+                let mut items_done = 0u64;
                 for (j, slot) in block.iter_mut().enumerate() {
-                    let ci = w * per_worker + j;
-                    let lo = ci * chunk;
-                    let hi = (lo + chunk).min(len);
-                    *slot = Some(map(&items[lo..hi]));
+                    if guard.is_some_and(Guard::should_stop) {
+                        break;
+                    }
+                    let r = range(w * per_worker + j);
+                    items_done += r.len() as u64;
+                    *slot = Some(map(r));
                 }
+                record(w, t0, items_done);
             });
         }
     });
-    // Every slot is Some: the worker loops above fill their whole block
-    // unconditionally, so `flatten` drops nothing and keeps the fold
-    // panic-free.
+    // A final check catches trips that raced with the last chunks: if it
+    // fails, some slots may be empty and the pass is void; if it
+    // succeeds, no worker ever observed a trip and every slot is filled,
+    // so `flatten` drops nothing and the fold stays panic-free.
+    check()?;
     debug_assert!(slots.iter().all(Option::is_some));
-    slots.into_iter().flatten().fold(identity(), merge)
+    Ok(slots.into_iter().flatten().fold(identity(), merge))
 }
 
 /// Chunked map-reduce over the index range `0..len`.
 ///
-/// The range analogue of [`par_chunks_map_reduce`], for kernels whose
-/// input is indexed rather than sliced (matrix rows, query ids): the
-/// range is cut into sub-ranges per `chunking`, `map` receives each
+/// The range is cut into sub-ranges per `chunking`, `map` receives each
 /// sub-range, and partials merge **in range order** from `identity()`.
-/// The same determinism regimes apply ([`Chunking::Fixed`] is
-/// bit-identical across every [`Parallelism`] setting for any merge).
-pub fn par_range_map_reduce<A>(
+/// Kernels over a slice map `|r| f(&items[r])`. [`Chunking::Fixed`] is
+/// bit-identical across every [`Parallelism`] setting for any merge.
+///
+/// Empty input returns `identity()` without calling `map`.
+pub fn par_range_map_reduce<A: Send>(
     par: Parallelism,
     chunking: Chunking,
     len: usize,
     identity: impl Fn() -> A,
-    map: impl Fn(std::ops::Range<usize>) -> A + Sync,
+    map: impl Fn(Range<usize>) -> A + Sync,
     merge: impl Fn(A, A) -> A,
-) -> A
-where
-    A: Send,
-{
-    if len == 0 {
-        return identity();
+) -> A {
+    match map_reduce(par, chunking, len, None, identity, map, merge) {
+        Ok(acc) => acc,
+        Err(_) => unreachable!("a pass without a guard cannot trip"),
     }
-    let threads = par.effective_threads();
-    let (chunk, n_chunks) = layout(len, chunking, threads);
-    if threads == 1 || n_chunks == 1 {
-        return (0..n_chunks).fold(identity(), |acc, ci| {
-            let lo = ci * chunk;
-            merge(acc, map(lo..(lo + chunk).min(len)))
-        });
-    }
-    let mut slots: Vec<Option<A>> = (0..n_chunks).map(|_| None).collect();
-    let per_worker = n_chunks.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (w, block) in slots.chunks_mut(per_worker).enumerate() {
-            let map = &map;
-            s.spawn(move || {
-                for (j, slot) in block.iter_mut().enumerate() {
-                    let ci = w * per_worker + j;
-                    let lo = ci * chunk;
-                    *slot = Some(map(lo..(lo + chunk).min(len)));
-                }
-            });
-        }
-    });
-    // Every slot is Some: the worker loops above fill their whole block
-    // unconditionally, so `flatten` drops nothing and keeps the fold
-    // panic-free.
-    debug_assert!(slots.iter().all(Option::is_some));
-    slots.into_iter().flatten().fold(identity(), merge)
 }
 
-/// Governed chunked map-reduce: [`par_chunks_map_reduce`] under a
+/// Governed range map-reduce: [`par_range_map_reduce`] under a
 /// [`Guard`].
 ///
 /// Every worker polls the guard before each chunk, so a cross-thread
@@ -235,162 +246,25 @@ where
 /// trip it can translate into its own partial result. With an unlimited,
 /// untripped guard the result is bit-identical to the ungoverned
 /// function's (same chunk structure, same in-order merge).
-pub fn par_chunks_map_reduce_governed<T, A>(
-    par: Parallelism,
-    chunking: Chunking,
-    items: &[T],
-    guard: &Guard,
-    identity: impl Fn() -> A,
-    map: impl Fn(&[T]) -> A + Sync,
-    merge: impl Fn(A, A) -> A,
-) -> Result<A, TruncationReason>
-where
-    T: Sync,
-    A: Send,
-{
-    let len = items.len();
-    guard.check()?;
-    if len == 0 {
-        return Ok(identity());
-    }
-    let threads = par.effective_threads();
-    let (chunk, n_chunks) = layout(len, chunking, threads);
-    // Per-shard telemetry (`par.shard<w>.{busy_ns,items}`) is collected
-    // only when the guard carries a recorder, so the ungoverned/noop
-    // path never reads the clock.
-    let obs = guard.obs();
-    let recorded = obs.enabled();
-    if threads == 1 || n_chunks == 1 {
-        let t0 = recorded.then(std::time::Instant::now);
-        let _shard_span = obs.span("par.shard0");
-        let mut acc = identity();
-        for c in items.chunks(chunk) {
-            guard.check()?;
-            acc = merge(acc, map(c));
-        }
-        if let Some(t0) = t0 {
-            obs.counter("par.shard0.items", len as u64);
-            obs.counter("par.shard0.busy_ns", elapsed_ns(t0));
-            obs.value("par.shard.items", len as u64);
-        }
-        return Ok(acc);
-    }
-    // Shard spans cannot inherit the caller's span through the worker
-    // threads' (empty) span stacks — hand the parent over explicitly.
-    let parent = obs.current_span();
-    let mut slots: Vec<Option<A>> = (0..n_chunks).map(|_| None).collect();
-    let per_worker = n_chunks.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (w, block) in slots.chunks_mut(per_worker).enumerate() {
-            let map = &map;
-            s.spawn(move || {
-                let t0 = recorded.then(std::time::Instant::now);
-                let _shard_span = obs.span_child_fmt(format_args!("par.shard{w}"), parent);
-                let mut items_done = 0u64;
-                for (j, slot) in block.iter_mut().enumerate() {
-                    if guard.should_stop() {
-                        break;
-                    }
-                    let ci = w * per_worker + j;
-                    let lo = ci * chunk;
-                    let hi = (lo + chunk).min(len);
-                    items_done += (hi - lo) as u64;
-                    *slot = Some(map(&items[lo..hi]));
-                }
-                if let Some(t0) = t0 {
-                    obs.counter_fmt(format_args!("par.shard{w}.items"), items_done);
-                    obs.counter_fmt(format_args!("par.shard{w}.busy_ns"), elapsed_ns(t0));
-                    obs.value("par.shard.items", items_done);
-                }
-            });
-        }
-    });
-    // A final check catches trips that raced with the last chunks: if it
-    // fails, some slots may be empty and the pass is void; if it
-    // succeeds, no worker ever observed a trip and every slot is filled.
-    guard.check()?;
-    debug_assert!(slots.iter().all(Option::is_some));
-    Ok(slots.into_iter().flatten().fold(identity(), merge))
-}
-
-/// Governed range map-reduce: [`par_range_map_reduce`] under a
-/// [`Guard`], with the same per-chunk polling, all-or-nothing pass
-/// semantics, and unlimited-guard bit-identity as
-/// [`par_chunks_map_reduce_governed`].
-pub fn par_range_map_reduce_governed<A>(
+pub fn par_range_map_reduce_governed<A: Send>(
     par: Parallelism,
     chunking: Chunking,
     len: usize,
     guard: &Guard,
     identity: impl Fn() -> A,
-    map: impl Fn(std::ops::Range<usize>) -> A + Sync,
+    map: impl Fn(Range<usize>) -> A + Sync,
     merge: impl Fn(A, A) -> A,
-) -> Result<A, TruncationReason>
-where
-    A: Send,
-{
-    guard.check()?;
-    if len == 0 {
-        return Ok(identity());
-    }
-    let threads = par.effective_threads();
-    let (chunk, n_chunks) = layout(len, chunking, threads);
-    let obs = guard.obs();
-    let recorded = obs.enabled();
-    if threads == 1 || n_chunks == 1 {
-        let t0 = recorded.then(std::time::Instant::now);
-        let _shard_span = obs.span("par.shard0");
-        let mut acc = identity();
-        for ci in 0..n_chunks {
-            guard.check()?;
-            let lo = ci * chunk;
-            acc = merge(acc, map(lo..(lo + chunk).min(len)));
-        }
-        if let Some(t0) = t0 {
-            obs.counter("par.shard0.items", len as u64);
-            obs.counter("par.shard0.busy_ns", elapsed_ns(t0));
-            obs.value("par.shard.items", len as u64);
-        }
-        return Ok(acc);
-    }
-    let parent = obs.current_span();
-    let mut slots: Vec<Option<A>> = (0..n_chunks).map(|_| None).collect();
-    let per_worker = n_chunks.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (w, block) in slots.chunks_mut(per_worker).enumerate() {
-            let map = &map;
-            s.spawn(move || {
-                let t0 = recorded.then(std::time::Instant::now);
-                let _shard_span = obs.span_child_fmt(format_args!("par.shard{w}"), parent);
-                let mut items_done = 0u64;
-                for (j, slot) in block.iter_mut().enumerate() {
-                    if guard.should_stop() {
-                        break;
-                    }
-                    let ci = w * per_worker + j;
-                    let lo = ci * chunk;
-                    let hi = (lo + chunk).min(len);
-                    items_done += (hi - lo) as u64;
-                    *slot = Some(map(lo..hi));
-                }
-                if let Some(t0) = t0 {
-                    obs.counter_fmt(format_args!("par.shard{w}.items"), items_done);
-                    obs.counter_fmt(format_args!("par.shard{w}.busy_ns"), elapsed_ns(t0));
-                    obs.value("par.shard.items", items_done);
-                }
-            });
-        }
-    });
-    guard.check()?;
-    debug_assert!(slots.iter().all(Option::is_some));
-    Ok(slots.into_iter().flatten().fold(identity(), merge))
+) -> Result<A, TruncationReason> {
+    map_reduce(par, chunking, len, Some(guard), identity, map, merge)
 }
 
 /// Parallel index-preserving map: returns `f(0, &items[0]), f(1, ..) ..`
 /// in input order.
 ///
 /// Every element is mapped independently, so the result is identical
-/// for every [`Parallelism`] setting by construction.
+/// for every [`Parallelism`] setting by construction. Runs on the
+/// map-reduce engine with one chunk per thread; the chunks' outputs
+/// concatenate in order.
 pub fn par_map_indexed<T, U>(
     par: Parallelism,
     items: &[T],
@@ -400,33 +274,27 @@ where
     T: Sync,
     U: Send,
 {
-    let len = items.len();
-    let threads = par.effective_threads();
-    if threads == 1 || len < 2 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    let mut out: Vec<Option<U>> = (0..len).map(|_| None).collect();
-    let per_worker = len.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (w, block) in out.chunks_mut(per_worker).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                for (j, slot) in block.iter_mut().enumerate() {
-                    let i = w * per_worker + j;
-                    *slot = Some(f(i, &items[i]));
-                }
-            });
-        }
-    });
-    debug_assert!(out.iter().all(Option::is_some));
-    out.into_iter().flatten().collect()
+    par_range_map_reduce(
+        par,
+        Chunking::PerThread,
+        items.len(),
+        Vec::new,
+        |r| r.map(|i| f(i, &items[i])).collect(),
+        |mut a, b| {
+            if a.is_empty() {
+                return b;
+            }
+            a.extend(b);
+            a
+        },
+    )
 }
 
 /// Parallel in-place transform over disjoint mutable chunks: `f`
 /// receives each chunk and the index of its first element.
 ///
 /// Chunk boundaries follow `chunking` exactly as in
-/// [`par_chunks_map_reduce`]; since every element belongs to one chunk
+/// [`par_range_map_reduce`]; since every element belongs to one chunk
 /// and `f` only sees disjoint `&mut` slices, the result is identical
 /// for every [`Parallelism`] setting whenever `f` writes each element
 /// as a pure function of its pre-call state.
@@ -493,12 +361,12 @@ mod tests {
         let expected: u64 = items.iter().sum();
         for par in settings() {
             for chunking in [Chunking::Fixed(1), Chunking::Fixed(97), Chunking::PerThread] {
-                let got = par_chunks_map_reduce(
+                let got = par_range_map_reduce(
                     par,
                     chunking,
-                    &items,
+                    items.len(),
                     || 0u64,
-                    |chunk| chunk.iter().sum::<u64>(),
+                    |r| items[r].iter().sum::<u64>(),
                     |a, b| a + b,
                 );
                 assert_eq!(got, expected, "{par:?} {chunking:?}");
@@ -513,21 +381,21 @@ mod tests {
         let items: Vec<f64> = (0..5_000)
             .map(|i| if i % 2 == 0 { 1e16 } else { 1.0 })
             .collect();
-        let reference = par_chunks_map_reduce(
+        let reference = par_range_map_reduce(
             Parallelism::Sequential,
             Chunking::Fixed(61),
-            &items,
+            items.len(),
             || 0.0f64,
-            |chunk| chunk.iter().sum::<f64>(),
+            |r| items[r].iter().sum::<f64>(),
             |a, b| a + b,
         );
         for par in settings() {
-            let got = par_chunks_map_reduce(
+            let got = par_range_map_reduce(
                 par,
                 Chunking::Fixed(61),
-                &items,
+                items.len(),
                 || 0.0f64,
-                |chunk| chunk.iter().sum::<f64>(),
+                |r| items[r].iter().sum::<f64>(),
                 |a, b| a + b,
             );
             assert_eq!(got.to_bits(), reference.to_bits(), "{par:?}");
@@ -541,12 +409,12 @@ mod tests {
         let items: Vec<u32> = (0..1_000).collect();
         let expected: Vec<u32> = items.clone();
         for par in settings() {
-            let got = par_chunks_map_reduce(
+            let got = par_range_map_reduce(
                 par,
                 Chunking::Fixed(37),
-                &items,
+                items.len(),
                 Vec::new,
-                |chunk| chunk.to_vec(),
+                |r| items[r].to_vec(),
                 |mut a, mut b| {
                     a.append(&mut b);
                     a
@@ -558,52 +426,16 @@ mod tests {
 
     #[test]
     fn empty_input_returns_identity() {
-        let items: [u64; 0] = [];
         for par in settings() {
-            let got = par_chunks_map_reduce(
+            let got = par_range_map_reduce(
                 par,
                 Chunking::PerThread,
-                &items,
+                0,
                 || 41u64,
                 |_| panic!("map must not run on empty input"),
                 |_, _| panic!("merge must not run on empty input"),
             );
             assert_eq!(got, 41);
-        }
-    }
-
-    #[test]
-    fn range_map_reduce_matches_slice_version() {
-        let items: Vec<u64> = (0..9_973).map(|i| i * 7 + 1).collect();
-        let expected: u64 = items.iter().sum();
-        for par in settings() {
-            for chunking in [Chunking::Fixed(101), Chunking::PerThread] {
-                let got = par_range_map_reduce(
-                    par,
-                    chunking,
-                    items.len(),
-                    || 0u64,
-                    |range| range.map(|i| items[i]).sum::<u64>(),
-                    |a, b| a + b,
-                );
-                assert_eq!(got, expected, "{par:?} {chunking:?}");
-            }
-        }
-        // Order-sensitive merge: concatenated ranges must cover 0..len
-        // in order for every setting.
-        for par in settings() {
-            let got = par_range_map_reduce(
-                par,
-                Chunking::Fixed(37),
-                1_000,
-                Vec::new,
-                |range| range.collect::<Vec<usize>>(),
-                |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                },
-            );
-            assert_eq!(got, (0..1_000).collect::<Vec<_>>(), "{par:?}");
         }
     }
 
@@ -642,38 +474,26 @@ mod tests {
         let items: Vec<f64> = (0..5_000)
             .map(|i| if i % 2 == 0 { 1e16 } else { 1.0 })
             .collect();
-        let reference = par_chunks_map_reduce(
+        let reference = par_range_map_reduce(
             Parallelism::Sequential,
             Chunking::Fixed(61),
-            &items,
+            items.len(),
             || 0.0f64,
-            |chunk| chunk.iter().sum::<f64>(),
+            |r| items[r].iter().sum::<f64>(),
             |a, b| a + b,
         );
         for par in settings() {
-            let guard = Guard::unlimited();
-            let got = par_chunks_map_reduce_governed(
-                par,
-                Chunking::Fixed(61),
-                &items,
-                &guard,
-                || 0.0f64,
-                |chunk| chunk.iter().sum::<f64>(),
-                |a, b| a + b,
-            )
-            .unwrap();
-            assert_eq!(got.to_bits(), reference.to_bits(), "{par:?}");
             let got = par_range_map_reduce_governed(
                 par,
                 Chunking::Fixed(61),
                 items.len(),
-                &guard,
+                &Guard::unlimited(),
                 || 0.0f64,
-                |r| r.map(|i| items[i]).sum::<f64>(),
+                |r| items[r].iter().sum::<f64>(),
                 |a, b| a + b,
             )
             .unwrap();
-            assert_eq!(got.to_bits(), reference.to_bits(), "{par:?} (range)");
+            assert_eq!(got.to_bits(), reference.to_bits(), "{par:?}");
         }
     }
 
@@ -683,13 +503,13 @@ mod tests {
         for par in settings() {
             let guard = Guard::unlimited();
             guard.cancel_token().cancel();
-            let got = par_chunks_map_reduce_governed(
+            let got = par_range_map_reduce_governed(
                 par,
                 Chunking::Fixed(7),
-                &items,
+                items.len(),
                 &guard,
                 || 0u64,
-                |c| c.iter().sum(),
+                |r| items[r].iter().sum(),
                 |a, b| a + b,
             );
             assert_eq!(got, Err(dm_guard::TruncationReason::Cancelled), "{par:?}");
@@ -704,17 +524,17 @@ mod tests {
         for par in settings() {
             let guard = Guard::unlimited();
             let token = guard.cancel_token();
-            let got = par_chunks_map_reduce_governed(
+            let got = par_range_map_reduce_governed(
                 par,
                 Chunking::Fixed(64),
-                &items,
+                items.len(),
                 &guard,
                 || 0u64,
-                |c| {
-                    if c[0] >= 1_024 {
+                |r| {
+                    if r.start >= 1_024 {
                         token.cancel();
                     }
-                    c.iter().sum()
+                    items[r].iter().sum()
                 },
                 |a, b| a + b,
             );
@@ -725,12 +545,12 @@ mod tests {
     #[test]
     fn threads_beyond_chunks_are_harmless() {
         let items: Vec<u64> = (0..10).collect();
-        let got = par_chunks_map_reduce(
+        let got = par_range_map_reduce(
             Parallelism::Threads(64),
             Chunking::Fixed(3),
-            &items,
+            items.len(),
             || 0u64,
-            |c| c.iter().sum(),
+            |r| items[r].iter().sum(),
             |a, b| a + b,
         );
         assert_eq!(got, 45);

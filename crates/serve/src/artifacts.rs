@@ -24,7 +24,7 @@ use dm_core::assoc::Rule;
 use dm_core::cluster::KMeansModel;
 use dm_core::dataset::Matrix;
 use dm_core::knn::Knn;
-use dm_core::obs::json::{parse, Json};
+use dm_core::obs::json::{json_string, parse, Json};
 use dm_core::tree::{DecisionTree, Node, SplitKind};
 use std::fmt;
 use std::fmt::Write as _;
@@ -73,7 +73,7 @@ pub fn save_artifacts(models: &ModelSet) -> String {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "{}", jstr(name));
+        let _ = write!(out, "{}", json_string(name));
     }
     out.push_str("],\n");
     let _ = writeln!(out, "  \"default_class\": {},", models.default_class());
@@ -120,26 +120,6 @@ pub fn save_artifacts(models: &ModelSet) -> String {
         let _ = write!(out, "[{}, {}]", rec.item, rec.score as u64);
     }
     out.push_str("]\n}\n");
-    out
-}
-
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -198,7 +178,7 @@ fn tree_json(tree: &DecisionTree) -> String {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "{}", jstr(name));
+        let _ = write!(out, "{}", json_string(name));
     }
     out.push_str("], \"nodes\": [");
     for (i, node) in tree.nodes().iter().enumerate() {

@@ -160,10 +160,8 @@ impl StreamFrequent {
     ///
     /// [`window`]: FrequentSnapshot::window
     pub fn query(&self) -> FrequentItemsets {
-        let mut levels: Vec<Vec<(Itemset, usize)>> = Vec::new();
-        let mut path = Vec::new();
-        collect(&self.roots, &mut path, &mut levels);
-        FrequentItemsets::from_levels(levels, self.window.len())
+        // An unlimited guard cannot trip, so the report is always whole.
+        self.query_governed(&Guard::unlimited()).result
     }
 
     /// `query` under a guard, `mine_governed`-style: one work unit per
@@ -300,18 +298,6 @@ fn walk_evict(children: &mut Vec<Node>, t: &[u32], minsup: usize, work: &mut u64
                 children.remove(p);
             }
         }
-    }
-}
-
-fn collect(children: &[Node], path: &mut Vec<u32>, levels: &mut Vec<Vec<(Itemset, usize)>>) {
-    for n in children {
-        path.push(n.item);
-        if levels.len() < path.len() {
-            levels.push(Vec::new());
-        }
-        levels[path.len() - 1].push((path.clone(), n.count));
-        collect(&n.children, path, levels);
-        path.pop();
     }
 }
 

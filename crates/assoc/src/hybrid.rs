@@ -100,7 +100,7 @@ impl ItemsetMiner for AprioriHybrid {
                 // live spans; mirror their durations into this miner's
                 // own histogram names (no tree node — the tree already
                 // shows them as apriori spans).
-                obs.span_ns_fmt(
+                obs.value_fmt(
                     format_args!("assoc.apriori_hybrid.pass{}", p.pass),
                     p.duration.as_nanos().min(u64::MAX as u128) as u64,
                 );

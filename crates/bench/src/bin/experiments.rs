@@ -36,9 +36,10 @@
 //! `--trace`, `--folded` and `--prom` share one recorder across the
 //! whole invocation so every experiment lands on a common timeline; each
 //! experiment runs under a top-level `experiment.<id>` span, so the
-//! trace nests experiment → pass → shard. When `--metrics` is also
-//! given, a [`TeeRecorder`] feeds both: the shared recorder keeps the
-//! span tree, the per-experiment recorder keeps its flat snapshot.
+//! trace nests experiment → pass → shard. When `--metrics` or
+//! `--ledger` is also given, a [`TeeRecorder`] feeds both, and each
+//! keeps its own copy of the span tree, so an export flag leaves the
+//! ledger record's tree paths unchanged.
 
 use dm_core::obs::ledger::{snapshot_json_tagged, ExperimentRun, MetricDoc, RunRecord};
 use dm_core::prelude::{
@@ -216,9 +217,10 @@ fn real_main() -> i32 {
         let metrics_rec = (metrics_path.is_some() || ledger_path.is_some())
             .then(|| Arc::new(InMemoryRecorder::new()));
         // Compose the recorder stack for this experiment: the export
-        // recorder is primary (it owns the span tree); a per-experiment
-        // metrics recorder rides along as the tee's secondary; progress
-        // narration wraps the outside.
+        // recorder is primary (its span ids are the ones handed out); a
+        // per-experiment metrics recorder rides along as the tee's
+        // secondary with a mirrored tree; progress narration wraps the
+        // outside.
         let base: Option<Arc<dyn Recorder>> = match (&export_rec, &metrics_rec) {
             (Some(e), Some(m)) => Some(Arc::new(TeeRecorder::new(e.clone(), m.clone()))),
             (Some(e), None) => Some(e.clone()),

@@ -1,11 +1,12 @@
 //! # dm-bench
 //!
 //! The experiment harness reproducing every table and figure of the
-//! evaluation plan in `DESIGN.md` (experiments E1–E12 plus the two
+//! evaluation plan in `DESIGN.md` (experiments E1–E18 plus the two
 //! ablations A1–A2). Each experiment is a pure function returning the
 //! formatted table/series it regenerates; the `experiments` binary
-//! prints them, and Criterion benches (in `benches/`) time the hot
-//! kernels.
+//! prints them and, with `--ledger`, records each kernel's wall time
+//! and per-span `*_ns` durations next to the exact counters that CI
+//! gates. End-to-end timing lives in `perfbench/`.
 //!
 //! Run everything:
 //!

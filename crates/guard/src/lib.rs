@@ -51,8 +51,9 @@
 //! guard already flows through every governed entry point and every
 //! `dm_par` worker, attaching a recorder needs no signature changes
 //! anywhere. Without one, [`Guard::obs`] hands out the no-op recorder,
-//! whose emissions compile to a predictable branch — the measured
-//! overhead is within noise (`ledger/bench-obs.json`). The guard itself emits a
+//! whose emissions compile to a predictable branch; the cost of an
+//! attached in-memory recorder is measured on the serving path by
+//! perfbench's `obs.recorder_overhead`. The guard itself emits a
 //! `guard.trip` event (with the reason) and a `guard.work_admitted`
 //! watermark gauge the moment its first limit latches.
 

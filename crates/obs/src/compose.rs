@@ -2,14 +2,16 @@
 //! streaming.
 //!
 //! [`TeeRecorder`] lets one governed run feed two recorders at once —
-//! the `experiments` binary uses it when both `--metrics` and a tracing
-//! export are requested. [`ProgressRecorder`] is a forwarding decorator
+//! the `experiments` binary uses it when a tracing export and a
+//! per-experiment recorder (`--metrics` or `--ledger`) are both
+//! requested. [`ProgressRecorder`] is a forwarding decorator
 //! that additionally narrates selected emissions to a [`ProgressSink`]
 //! (stderr by default) as they happen, which is what `--progress`
 //! rides.
 
 use crate::{Recorder, SpanId, TraceId};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A line-oriented sink for live progress output.
@@ -111,17 +113,6 @@ impl Recorder for ProgressRecorder {
         self.inner.value_traced(name, v, trace);
     }
 
-    fn span_ns(&self, name: &str, elapsed_ns: u64) {
-        if self.narrate_span(name) {
-            self.sink.line(&format!(
-                "{} span  {name} {:.3}ms",
-                self.stamp(),
-                elapsed_ns as f64 / 1e6
-            ));
-        }
-        self.inner.span_ns(name, elapsed_ns);
-    }
-
     fn event(&self, name: &str, detail: &str) {
         self.sink
             .line(&format!("{} event {name}: {detail}", self.stamp()));
@@ -146,14 +137,17 @@ impl Recorder for ProgressRecorder {
 
 /// Duplicates every emission to two recorders.
 ///
-/// Span-tree ids belong to the *primary*: `span_begin` only consults
-/// it, and on `span_end` the secondary receives the duration through
-/// its flat [`Recorder::span_ns`] path. This keeps id spaces from
-/// colliding while both recorders still see every duration, counter,
-/// gauge, value and event.
+/// Span ids handed to callers belong to the *primary*. The secondary
+/// builds its own copy of the tree: every span the primary opens is
+/// opened on the secondary too, under the secondary's id for the same
+/// parent, so both recorders hold the same names and parent links in
+/// their own id spaces. A primary without a tree (one that returns
+/// [`SpanId::ROOT`]) leaves the secondary with durations only.
 pub struct TeeRecorder {
     primary: Arc<dyn Recorder>,
     secondary: Arc<dyn Recorder>,
+    /// Open spans: primary id → the secondary's id for the same span.
+    open: Mutex<HashMap<u64, SpanId>>,
 }
 
 impl std::fmt::Debug for TeeRecorder {
@@ -163,9 +157,22 @@ impl std::fmt::Debug for TeeRecorder {
 }
 
 impl TeeRecorder {
-    /// Tees `primary` (owns the span tree) and `secondary`.
+    /// Tees `primary` (whose span ids callers see) and `secondary`.
     pub fn new(primary: Arc<dyn Recorder>, secondary: Arc<dyn Recorder>) -> Self {
-        Self { primary, secondary }
+        Self {
+            primary,
+            secondary,
+            open: Mutex::new(HashMap::new()),
+        }
+    }
+
+    fn open_spans(&self) -> std::sync::MutexGuard<'_, HashMap<u64, SpanId>> {
+        // A panic mid-record cannot leave the map inconsistent (every
+        // update is one insert or remove), so recover from poisoning.
+        match self.open.lock() {
+            Ok(m) => m,
+            Err(poisoned) => poisoned.into_inner(),
+        }
     }
 }
 
@@ -199,23 +206,26 @@ impl Recorder for TeeRecorder {
         self.secondary.value_traced(name, v, trace);
     }
 
-    fn span_ns(&self, name: &str, elapsed_ns: u64) {
-        self.primary.span_ns(name, elapsed_ns);
-        self.secondary.span_ns(name, elapsed_ns);
-    }
-
     fn event(&self, name: &str, detail: &str) {
         self.primary.event(name, detail);
         self.secondary.event(name, detail);
     }
 
     fn span_begin(&self, name: &str, parent: SpanId) -> SpanId {
-        self.primary.span_begin(name, parent)
+        let id = self.primary.span_begin(name, parent);
+        if id.is_some() {
+            let mut open = self.open_spans();
+            let parent = open.get(&parent.0).copied().unwrap_or(SpanId::ROOT);
+            let mirrored = self.secondary.span_begin(name, parent);
+            open.insert(id.0, mirrored);
+        }
+        id
     }
 
     fn span_end(&self, id: SpanId, name: &str, elapsed_ns: u64) {
         self.primary.span_end(id, name, elapsed_ns);
-        self.secondary.span_ns(name, elapsed_ns);
+        let mirrored = self.open_spans().remove(&id.0).unwrap_or(SpanId::ROOT);
+        self.secondary.span_end(mirrored, name, elapsed_ns);
     }
 }
 
@@ -247,7 +257,7 @@ mod tests {
     }
 
     #[test]
-    fn tee_duplicates_flat_metrics_and_keeps_tree_on_primary() {
+    fn tee_duplicates_flat_metrics_and_mirrors_the_tree() {
         let a = Arc::new(InMemoryRecorder::new());
         let b = Arc::new(InMemoryRecorder::new());
         let tee = TeeRecorder::new(a.clone(), b.clone());
@@ -258,23 +268,40 @@ mod tests {
             let outer = obs.span("outer");
             assert!(outer.id().is_some(), "primary assigns tree ids");
             let _inner = obs.span("inner");
+            let parent = obs.current_span();
+            std::thread::scope(|s| {
+                s.spawn(|| drop(obs.span_child("worker", parent)));
+            });
         }
+        drop(obs.span("second_root"));
         let sa = a.snapshot();
         let sb = b.snapshot();
         assert_eq!(sa.counter("c"), Some(3));
         assert_eq!(sb.counter("c"), Some(3));
         assert_eq!(sa.gauge("g"), Some(7.0));
         assert_eq!(sb.gauge("g"), Some(7.0));
-        // Both recorders aggregated both durations...
+        // Both recorders aggregated every duration...
         assert_eq!(sa.spans["outer"].count, 1);
         assert_eq!(sb.spans["outer"].count, 1);
         assert_eq!(sb.spans["inner"].count, 1);
-        // ...but only the primary holds the tree, correctly nested.
-        assert_eq!(sa.tree.len(), 2);
-        assert!(sb.tree.is_empty());
-        let outer = sa.tree.iter().find(|n| n.name == "outer").unwrap();
-        let inner = sa.tree.iter().find(|n| n.name == "inner").unwrap();
-        assert_eq!(inner.parent, outer.id);
+        // ...and both hold the same tree: the same names under the
+        // same parents, every node closed.
+        let links = |tree: &[crate::SpanNode]| -> Vec<(String, Option<String>)> {
+            let name = |id: u64| tree.iter().find(|n| n.id == id).map(|n| n.name.clone());
+            tree.iter()
+                .map(|n| (n.name.clone(), name(n.parent)))
+                .collect()
+        };
+        let expected = vec![
+            ("outer".to_owned(), None),
+            ("inner".to_owned(), Some("outer".to_owned())),
+            ("worker".to_owned(), Some("inner".to_owned())),
+            ("second_root".to_owned(), None),
+        ];
+        assert_eq!(links(&sa.tree), expected);
+        assert_eq!(links(&sb.tree), expected);
+        assert!(sb.tree.iter().all(|n| n.dur_ns.is_some()));
+        assert!(tee.open_spans().is_empty(), "closed spans leave the id map");
     }
 
     #[test]
@@ -286,7 +313,7 @@ mod tests {
         {
             let _pass = obs.span("assoc.apriori.pass2");
         }
-        obs.span_ns("par.shard0.busy", 10);
+        drop(obs.span("par.shard0"));
         obs.gauge_max("assoc.mem.ck_bytes", 4096.0);
         obs.gauge("cluster.kmeans.iter.inertia", 2.5);
         obs.gauge("assoc.apriori.minsup_count", 20.0); // not narrated
@@ -304,8 +331,8 @@ mod tests {
             snap.counter("assoc.apriori.pass2.candidates"),
             Some(148_240)
         );
-        assert_eq!(snap.spans["par.shard0.busy"].count, 1);
-        assert_eq!(snap.tree.len(), 1);
+        assert_eq!(snap.spans["par.shard0"].count, 1);
+        assert_eq!(snap.tree.len(), 2);
         assert_eq!(snap.events.len(), 1);
     }
 }

@@ -12,9 +12,9 @@
 //!
 //! * [`NoopRecorder`] — the default on every ungoverned path; every
 //!   method is an empty body and [`Recorder::enabled`] returns `false`,
-//!   so instrumentation sites skip even the metric-name formatting
-//!   (measured ≤2% overhead on the assoc/cluster benches, see
-//!   `ledger/bench-obs.json`);
+//!   so instrumentation sites skip even the metric-name formatting.
+//!   `dm_guard::Guard::obs` hands it out when no recorder is attached,
+//!   so "no recorder" and `NoopRecorder` are one and the same path;
 //! * [`InMemoryRecorder`] — thread-safe aggregation into counters,
 //!   gauges, log-bucketed duration/value [`Histogram`]s, a hierarchical
 //!   span *tree*, and an ordered event log, snapshot as a stable,
@@ -112,7 +112,7 @@ use std::time::Instant;
 /// Version of the [`Snapshot`] JSON schema (the `"schema"` key). Bump
 /// it whenever a key is added, removed or its meaning changes, and
 /// record the change in `DESIGN.md` ("Metrics snapshot schema").
-/// Version 4 appended `exemplars`; readers accept 1..=4.
+/// [`Snapshot::from_json`] reads this version only.
 pub const SNAPSHOT_SCHEMA: u32 = 4;
 
 /// Identifier of one node in a recorder's span tree. `SpanId::ROOT`
@@ -136,7 +136,7 @@ impl SpanId {
 ///
 /// All methods take `&self`; implementations use interior mutability
 /// (or, like [`NoopRecorder`], no state at all). The span-tree and
-/// histogram methods have defaults that degrade gracefully, so a
+/// exemplar methods have defaults that degrade gracefully, so a
 /// minimal recorder only implements the four flat primitives.
 pub trait Recorder: Send + Sync {
     /// Whether this recorder keeps anything. Instrumentation sites check
@@ -152,10 +152,6 @@ pub trait Recorder: Send + Sync {
     /// Sets the named gauge to `value` (last write wins).
     fn gauge(&self, name: &str, value: f64);
 
-    /// Records one completed timed span of `elapsed_ns` nanoseconds
-    /// under `name` (aggregated into the name's duration histogram).
-    fn span_ns(&self, name: &str, elapsed_ns: u64);
-
     /// Appends an entry to the ordered event log.
     fn event(&self, name: &str, detail: &str);
 
@@ -166,11 +162,10 @@ pub trait Recorder: Send + Sync {
         self.gauge(name, value);
     }
 
-    /// Records one sample into the named value histogram. Defaults to
-    /// dropping the sample.
-    fn value(&self, name: &str, v: u64) {
-        let _ = (name, v);
-    }
+    /// Records one sample into the named histogram. Span durations
+    /// land here too (see [`Recorder::span_end`]), so one histogram per
+    /// name holds both timed spans and explicit values.
+    fn value(&self, name: &str, v: u64);
 
     /// Records one sample into the named value histogram *and* marks
     /// the bucket it lands in with `trace` as its exemplar (last write
@@ -191,11 +186,11 @@ pub trait Recorder: Send + Sync {
     }
 
     /// Closes span `id` after `elapsed_ns`, also feeding the name's
-    /// duration histogram. The default forwards to [`Recorder::span_ns`]
+    /// duration histogram. The default forwards to [`Recorder::value`]
     /// so tree-less recorders still aggregate durations.
     fn span_end(&self, id: SpanId, name: &str, elapsed_ns: u64) {
         let _ = id;
-        self.span_ns(name, elapsed_ns);
+        self.value(name, elapsed_ns);
     }
 }
 
@@ -214,7 +209,7 @@ impl Recorder for NoopRecorder {
     #[inline]
     fn gauge(&self, _name: &str, _value: f64) {}
     #[inline]
-    fn span_ns(&self, _name: &str, _elapsed_ns: u64) {}
+    fn value(&self, _name: &str, _v: u64) {}
     #[inline]
     fn event(&self, _name: &str, _detail: &str) {}
 }
@@ -222,7 +217,7 @@ impl Recorder for NoopRecorder {
 /// The process-wide noop instance [`Obs::noop`] hands out.
 pub static NOOP: NoopRecorder = NoopRecorder;
 
-/// Aggregated timings of one span name — the schema-1 view, derived
+/// Aggregated timings of one span name — the flat per-name view, derived
 /// from the name's full [`Histogram`] (count and sum are exact).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanStat {
@@ -274,7 +269,7 @@ struct State {
     gauge_writes: u64,
     hists: BTreeMap<String, Histogram>,
     /// Per-histogram bucket exemplars: the most recent traced
-    /// observation per bucket (schema 4).
+    /// observation per bucket.
     exemplars: BTreeMap<String, BTreeMap<usize, Exemplar>>,
     events: Vec<Event>,
     nodes: Vec<SpanNode>,
@@ -400,15 +395,6 @@ impl Recorder for InMemoryRecorder {
         });
     }
 
-    fn span_ns(&self, name: &str, elapsed_ns: u64) {
-        self.with_state(|s| {
-            s.hists
-                .entry(name.to_owned())
-                .or_default()
-                .record(elapsed_ns);
-        });
-    }
-
     fn value(&self, name: &str, v: u64) {
         self.with_state(|s| {
             s.hists.entry(name.to_owned()).or_default().record(v);
@@ -491,7 +477,7 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Gauges by name (last written value).
     pub gauges: BTreeMap<String, f64>,
-    /// Span aggregates by name (schema-1 view, derived from
+    /// Span aggregates by name (flat per-name view, derived from
     /// [`Snapshot::histograms`]; count/sum are exact).
     pub spans: BTreeMap<String, SpanStat>,
     /// Full duration/value histograms by name.
@@ -500,12 +486,12 @@ pub struct Snapshot {
     pub events: Vec<Event>,
     /// The hierarchical span tree, in open order (`id` = index + 1).
     pub tree: Vec<SpanNode>,
-    /// Per-gauge write ordinal (schema 3): the recorder-wide gauge
+    /// Per-gauge write ordinal: the recorder-wide gauge
     /// write counter at each gauge's last write. Strictly increases
     /// with every write to any gauge, so two snapshots of the same
     /// recorder order gauge observations even when the value repeats.
     pub gauge_seq: BTreeMap<String, u64>,
-    /// Per-histogram bucket exemplars (schema 4): for each histogram
+    /// Per-histogram bucket exemplars: for each histogram
     /// fed through [`Recorder::value_traced`], the most recent traced
     /// observation per bucket.
     pub exemplars: BTreeMap<String, BTreeMap<usize, Exemplar>>,
@@ -566,14 +552,12 @@ impl Snapshot {
     /// Serializes the snapshot as a JSON document.
     ///
     /// The format is stable and versioned (`"schema"`, currently
-    /// [`SNAPSHOT_SCHEMA`]): one object whose schema-1 keys
-    /// (`counters`, `gauges`, `spans`, `events`) are unchanged from
-    /// version 1, plus `histograms` (sparse power-of-two buckets) and
-    /// `tree` (the span hierarchy) from version 2, plus `gauge_seq`
-    /// (per-gauge write ordinals) from version 3, plus `exemplars`
-    /// (sparse `[bucket, trace_id, value]` triples per histogram) from
-    /// version 4. Map keys sorted lexicographically; non-finite gauge
-    /// values serialize as `null`.
+    /// [`SNAPSHOT_SCHEMA`]): one object with `counters`, `gauges`,
+    /// `spans`, `events`, `histograms` (sparse power-of-two buckets),
+    /// `tree` (the span hierarchy), `gauge_seq` (per-gauge write
+    /// ordinals) and `exemplars` (sparse `[bucket, trace_id, value]`
+    /// triples per histogram). Map keys sorted lexicographically;
+    /// non-finite gauge values serialize as `null`.
     /// See `DESIGN.md` ("Metrics snapshot schema") for the full schema
     /// and the bump rule.
     pub fn to_json(&self) -> String {
@@ -689,10 +673,9 @@ impl Snapshot {
 
     /// Parses a snapshot serialized by [`Snapshot::to_json`] — the
     /// replay path behind `dm watch`, where archived snapshots feed a
-    /// [`watch::MetricView`] exactly as live ones would. Any schema
-    /// version up to [`SNAPSHOT_SCHEMA`] is accepted; keys an older
-    /// version lacks default to empty (a schema-2 document simply has
-    /// no `gauge_seq`, and the view synthesizes ordinals).
+    /// [`watch::MetricView`] exactly as live ones would. Only schema
+    /// [`SNAPSHOT_SCHEMA`] is accepted, every top-level key is
+    /// required, and every gauge needs its `gauge_seq` ordinal.
     pub fn from_json(input: &str) -> Result<Snapshot, String> {
         use crate::json::Json;
         let doc = json::parse(input).map_err(|e| format!("snapshot: {e}"))?;
@@ -700,32 +683,25 @@ impl Snapshot {
             .get("schema")
             .and_then(Json::as_u64)
             .ok_or("snapshot: missing or non-integer `schema`")?;
-        if schema == 0 || schema > u64::from(SNAPSHOT_SCHEMA) {
+        if schema != u64::from(SNAPSHOT_SCHEMA) {
             return Err(format!(
-                "snapshot: unsupported schema {schema} (this build reads <= {SNAPSHOT_SCHEMA})"
+                "snapshot: unsupported schema {schema} (this build reads {SNAPSHOT_SCHEMA})"
             ));
         }
 
-        fn obj_entries<'a>(
-            doc: &'a Json,
-            key: &str,
-        ) -> Result<Vec<(&'a String, &'a Json)>, String> {
-            match doc.get(key) {
-                None => Ok(Vec::new()),
-                Some(v) => Ok(v
-                    .as_obj()
-                    .ok_or_else(|| format!("snapshot: `{key}` is not an object"))?
-                    .iter()
-                    .collect()),
-            }
+        fn key<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
+            doc.get(key)
+                .ok_or_else(|| format!("snapshot: missing `{key}`"))
         }
-        fn arr_entries<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
-            match doc.get(key) {
-                None => Ok(&[]),
-                Some(v) => v
-                    .as_arr()
-                    .ok_or_else(|| format!("snapshot: `{key}` is not an array")),
-            }
+        fn obj_entries<'a>(doc: &'a Json, k: &str) -> Result<&'a BTreeMap<String, Json>, String> {
+            key(doc, k)?
+                .as_obj()
+                .ok_or_else(|| format!("snapshot: `{k}` is not an object"))
+        }
+        fn arr_entries<'a>(doc: &'a Json, k: &str) -> Result<&'a [Json], String> {
+            key(doc, k)?
+                .as_arr()
+                .ok_or_else(|| format!("snapshot: `{k}` is not an array"))
         }
         fn field_u64(v: &Json, ctx: &str, key: &str) -> Result<u64, String> {
             v.get(key)
@@ -820,6 +796,13 @@ impl Snapshot {
                 .as_u64()
                 .ok_or_else(|| format!("snapshot: gauge_seq `{k}` is not a u64"))?;
             snap.gauge_seq.insert(k.clone(), n);
+        }
+        if let Some(k) = snap
+            .gauges
+            .keys()
+            .find(|k| !snap.gauge_seq.contains_key(*k))
+        {
+            return Err(format!("snapshot: gauge `{k}` has no `gauge_seq` entry"));
         }
         for (k, v) in obj_entries(&doc, "exemplars")? {
             let mut buckets = BTreeMap::new();
@@ -1082,23 +1065,6 @@ impl<'a> Obs<'a> {
             }),
         }
     }
-
-    /// Records an already-measured span duration (histogram only; no
-    /// tree node).
-    #[inline]
-    pub fn span_ns(&self, name: &str, elapsed_ns: u64) {
-        if self.rec.enabled() {
-            self.rec.span_ns(name, elapsed_ns);
-        }
-    }
-
-    /// Records a span with a lazily formatted name.
-    #[inline]
-    pub fn span_ns_fmt(&self, name: std::fmt::Arguments<'_>, elapsed_ns: u64) {
-        if self.rec.enabled() {
-            self.rec.span_ns(&name.to_string(), elapsed_ns);
-        }
-    }
 }
 
 struct ActiveSpan<'a> {
@@ -1195,8 +1161,8 @@ mod tests {
     fn spans_aggregate_count_and_total() {
         let rec = InMemoryRecorder::new();
         let obs = Obs::new(&rec);
-        obs.span_ns("knn.predict.batch", 100);
-        obs.span_ns("knn.predict.batch", 50);
+        obs.value("knn.predict.batch", 100);
+        obs.value("knn.predict.batch", 50);
         {
             let _s = obs.span("knn.predict.batch");
         }
@@ -1361,13 +1327,33 @@ mod tests {
         assert!(err.contains("unsupported schema 99"), "{err}");
         assert!(Snapshot::from_json("{}").is_err());
         assert!(Snapshot::from_json("nonsense").is_err());
-        // A schema-2 document (no gauge_seq) still parses.
-        let old = Snapshot::from_json(
-            "{\"schema\": 2, \"counters\": {\"assoc.rules.emitted\": 4}, \"gauges\": {}}",
-        )
-        .unwrap();
-        assert_eq!(old.counter("assoc.rules.emitted"), Some(4));
-        assert!(old.gauge_seq.is_empty());
+        // Only today's schema parses: an otherwise valid document
+        // relabelled as any other version is rejected.
+        let current = InMemoryRecorder::new().snapshot().to_json();
+        assert!(Snapshot::from_json(&current).is_ok());
+        for schema in [1, 2, 3, 5] {
+            let doc = current.replace("\"schema\": 4", &format!("\"schema\": {schema}"));
+            let err = Snapshot::from_json(&doc).unwrap_err();
+            assert!(
+                err.contains(&format!("unsupported schema {schema}")),
+                "{err}"
+            );
+        }
+        // Every top-level key is required.
+        let err = Snapshot::from_json(&current.replace(",\n  \"exemplars\": {}", "")).unwrap_err();
+        assert!(err.contains("missing `exemplars`"), "{err}");
+        // A gauge without its write ordinal is malformed.
+        let rec = InMemoryRecorder::new();
+        Obs::new(&rec).gauge("serve.queue.depth", 1.0);
+        let doc = rec.snapshot().to_json().replace(
+            "\"gauge_seq\": {\n    \"serve.queue.depth\": 1\n  }",
+            "\"gauge_seq\": {}",
+        );
+        let err = Snapshot::from_json(&doc).unwrap_err();
+        assert!(
+            err.contains("gauge `serve.queue.depth` has no `gauge_seq`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1396,7 +1382,7 @@ mod tests {
         obs.counter("a", 1);
         obs.gauge("g.nan", f64::NAN);
         obs.gauge("g.v", 1.5);
-        obs.span_ns("s", 42);
+        obs.value("s", 42);
         obs.event("e", "line1\n\"quoted\"");
         let json = rec.snapshot().to_json();
         // Keys sorted: "a" before "b".

@@ -127,5 +127,8 @@ fn committed_ledger_records_parse_and_are_canonical() {
             path.display()
         );
     }
-    assert!(seen >= 4, "expected baseline + 3 bench records, saw {seen}");
+    assert!(
+        seen >= 1,
+        "expected at least the baseline record, saw {seen}"
+    );
 }

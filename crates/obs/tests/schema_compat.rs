@@ -1,18 +1,14 @@
-//! Snapshot-schema compatibility: each schema version is a strict
-//! superset of the previous one. Consumers keyed on the v1 fields
-//! (`schema`, `counters`, `gauges`, `spans`, `events`) must keep
-//! working unchanged; the v2 additions (`histograms`, `tree`), the
-//! v3 addition (`gauge_seq`) and the v4 addition (`exemplars`) only
-//! append. A bump to `schema` (see DESIGN.md, "Metrics snapshot
-//! schema") is required whenever an existing key changes shape — this
-//! test is the tripwire.
+//! Snapshot-schema tripwire: the top-level keys of the current schema,
+//! their order and value shapes. `Snapshot::from_json` reads only
+//! `SNAPSHOT_SCHEMA`, so adding, removing or reshaping a key requires
+//! a bump (see DESIGN.md, "Metrics snapshot schema") and an update
+//! here.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use dm_obs::{InMemoryRecorder, Obs, Snapshot, TraceId, SNAPSHOT_SCHEMA};
+use dm_obs::{InMemoryRecorder, Obs, SNAPSHOT_SCHEMA};
 
-/// Every top-level key, in the serialized order. New schema versions
-/// append here (and only here).
+/// Every top-level key, in the serialized order.
 const TOP_LEVEL_KEYS: [&str; 9] = [
     "schema",
     "counters",
@@ -38,7 +34,7 @@ fn v1_keys_and_shapes_are_unchanged() {
     obs.event("guard.trip", "deadline");
     let json = rec.snapshot().to_json();
 
-    // The v1 field set, in the v1 order, with the v1 value shapes.
+    // Every key, with its value shape.
     assert!(json.starts_with(&format!("{{\n  \"schema\": {SNAPSHOT_SCHEMA},")));
     assert_eq!(
         SNAPSHOT_SCHEMA, 4,
@@ -49,18 +45,18 @@ fn v1_keys_and_shapes_are_unchanged() {
     assert!(json.contains("\"gauges\": {"));
     assert!(json.contains("\"assoc.mem.ck_bytes\": 4096"));
     assert!(json.contains("\"spans\": {"));
-    // Span aggregates keep their v1 per-name object shape.
+    // Span aggregates are per-name objects.
     assert!(json.contains("\"count\": 1, \"total_ns\": "));
     assert!(json.contains("\"events\": ["));
     assert!(json.contains("\"name\": \"guard.trip\", \"detail\": \"deadline\""));
-    // v3: every gauge carries a write ordinal, as a plain integer map.
+    // Every gauge carries a write ordinal, as a plain integer map.
     assert!(json.contains("\"gauge_seq\": {"));
     assert!(json.contains("\"assoc.mem.ck_bytes\": 1"));
-    // v4: exemplars, a sparse per-histogram triple list (empty here —
+    // Exemplars, a sparse per-histogram triple list (empty here —
     // nothing was traced).
     assert!(json.contains("\"exemplars\": {}"));
 
-    // Later versions only append new keys, after the earlier ones.
+    // Keys appear in the serialized order.
     let order: Vec<usize> = TOP_LEVEL_KEYS
         .iter()
         .map(|k| {
@@ -72,65 +68,6 @@ fn v1_keys_and_shapes_are_unchanged() {
         order.windows(2).all(|w| w[0] < w[1]),
         "top-level key order changed: {json}"
     );
-}
-
-/// The v1–v3 portion of the document must be byte-identical whether or
-/// not the recorder ever produced schema-4 data: the v4 key is pure
-/// append, and untraced recorders serialize exactly as a schema-3
-/// writer did (modulo the version number itself).
-#[test]
-fn v1_to_v3_keys_are_byte_identical_under_schema_4() {
-    let populate = |rec: &InMemoryRecorder, traced: bool| {
-        let obs = Obs::new(rec);
-        obs.counter("serve.req.admitted", 2);
-        obs.gauge("serve.queue.depth", 1.0);
-        obs.event("guard.trip", "deadline");
-        if traced {
-            obs.value_traced("serve.latency.predict_ns", 800, TraceId(0xAB));
-        } else {
-            obs.value("serve.latency.predict_ns", 800);
-        }
-    };
-    let plain = InMemoryRecorder::new();
-    populate(&plain, false);
-    let traced = InMemoryRecorder::new();
-    populate(&traced, true);
-    let plain_json = plain.snapshot().to_json();
-    let traced_json = traced.snapshot().to_json();
-
-    // Everything before the appended v4 key is identical between a
-    // traced and an untraced recorder fed the same observations.
-    let cut = |s: &str| {
-        s.find("\"exemplars\"")
-            .map(|i| s[..i].to_owned())
-            .expect("schema-4 document carries the exemplars key")
-    };
-    assert_eq!(cut(&plain_json), cut(&traced_json));
-    // And the untraced document differs from a schema-3 writer's output
-    // only in the version number and the appended empty key.
-    let legacy_shape = plain_json
-        .replace("\"schema\": 4", "\"schema\": 3")
-        .replace(",\n  \"exemplars\": {}", "");
-    assert!(legacy_shape.contains("\"gauge_seq\": {"));
-    assert!(!legacy_shape.contains("exemplars"));
-}
-
-/// Documents written by every earlier schema version still parse, and
-/// the keys they lack default to empty.
-#[test]
-fn older_schema_documents_parse_with_empty_v4_keys() {
-    for schema in 1..=3u32 {
-        let doc = format!(
-            "{{\"schema\": {schema}, \"counters\": {{\"assoc.rules.emitted\": 4}}, \"gauges\": {{}}}}"
-        );
-        let snap = Snapshot::from_json(&doc).unwrap();
-        assert_eq!(snap.counter("assoc.rules.emitted"), Some(4));
-        assert!(snap.exemplars.is_empty(), "schema {schema}");
-        assert!(snap.gauge_seq.is_empty() || schema >= 3);
-    }
-    // Schema 5 (the future) is rejected, exactly like any unknown.
-    let err = Snapshot::from_json("{\"schema\": 5}").unwrap_err();
-    assert!(err.contains("unsupported schema 5"), "{err}");
 }
 
 #[test]

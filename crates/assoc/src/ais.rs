@@ -9,7 +9,7 @@
 //! from `L_{k-1} ⋈ L_{k-1}`, AIS counts far more distinct candidates
 //! than Apriori — the effect experiments E1–E2 reproduce.
 
-use crate::apriori::POLL_STRIDE;
+use crate::apriori::{count_items, frequent_items, POLL_STRIDE};
 use crate::itemsets::{FrequentItemsets, Itemset};
 use crate::stats::MiningStats;
 use crate::{ItemsetMiner, MinSupport, MiningResult};
@@ -67,20 +67,10 @@ impl ItemsetMiner for Ais {
                 break 'mine;
             }
             let mut counts = vec![0usize; db.n_items() as usize];
-            for (t, txn) in db.iter().enumerate() {
-                if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
-                    break 'mine;
-                }
-                for &item in txn {
-                    counts[item as usize] += 1;
-                }
+            if count_items(db.transactions(), &mut counts, guard).is_err() {
+                break 'mine;
             }
-            let l1: Vec<(Itemset, usize)> = counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c >= min_count)
-                .map(|(item, &c)| (vec![item as u32], c))
-                .collect();
+            let l1 = frequent_items(&counts, min_count);
             drop(pass1_span);
             stats.push(1, db.n_items() as usize, l1.len(), t0.elapsed());
             levels.push(l1);

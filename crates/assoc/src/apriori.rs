@@ -16,6 +16,11 @@ use std::time::Instant;
 /// bounds cancellation latency inside a database scan.
 pub(crate) const POLL_STRIDE: usize = 256;
 
+/// Hash buckets per interior node of a counting hash tree.
+const HASH_TREE_FANOUT: usize = 8;
+/// Candidates a hash-tree leaf holds before it splits.
+const HASH_TREE_LEAF_CAPACITY: usize = 16;
+
 /// Sums the right-hand count vector into the left one (the merge step
 /// of every Count Distribution pass: per-shard counters add up).
 fn merge_counts<T: Copy + std::ops::AddAssign>(mut a: Vec<T>, b: Vec<T>) -> Vec<T> {
@@ -26,29 +31,128 @@ fn merge_counts<T: Copy + std::ops::AddAssign>(mut a: Vec<T>, b: Vec<T>) -> Vec<
     a
 }
 
+/// Pass-1 kernel of every level-wise miner: adds each item occurrence in
+/// `txns` to `counts` (indexed by item id), polling `guard` every
+/// [`POLL_STRIDE`] transactions. A trip returns at that poll and leaves
+/// `counts` partial.
+pub(crate) fn count_items(
+    txns: &[Vec<u32>],
+    counts: &mut [usize],
+    guard: &Guard,
+) -> Result<(), TruncationReason> {
+    for (t, txn) in txns.iter().enumerate() {
+        if t.is_multiple_of(POLL_STRIDE) {
+            guard.check()?;
+        }
+        for &item in txn {
+            counts[item as usize] += 1;
+        }
+    }
+    Ok(())
+}
+
+/// [`count_items`] over the whole database with one counter array per
+/// shard (Count Distribution); shard counters merge by summation, so the
+/// counts are identical for every [`Parallelism`] setting.
+pub(crate) fn sharded_item_counts(
+    par: Parallelism,
+    db: &TransactionDb,
+    guard: &Guard,
+) -> Result<Vec<usize>, TruncationReason> {
+    let n_items = db.n_items() as usize;
+    par_range_map_reduce_governed(
+        par,
+        Chunking::PerThread,
+        db.len(),
+        guard,
+        || vec![0usize; n_items],
+        |shard| {
+            let mut counts = vec![0usize; n_items];
+            // A trip ends this shard early, as it does the pair and
+            // hash-tree shards.
+            let _ = count_items(&db.transactions()[shard], &mut counts, guard);
+            counts
+        },
+        merge_counts,
+    )
+}
+
+/// L1 from pass-1 item counts: the items counted at least `min_count`
+/// times, in item order.
+pub(crate) fn frequent_items(counts: &[usize], min_count: usize) -> Vec<(Itemset, usize)> {
+    counts
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c >= min_count)
+        .map(|(item, &c)| (vec![item as u32], c))
+        .collect()
+}
+
+/// Counts the size-`k` `candidates` against the database through one
+/// hash tree, sharded like [`sharded_item_counts`]: shards count into
+/// private states over the shared, immutable tree and merge by
+/// summation. Records `assoc.<algo>.pass<k>.hashtree_mem_bytes` and
+/// `assoc.<algo>.pass<k>.hashtree_visits`.
+pub(crate) fn count_with_hash_tree(
+    algo: &str,
+    par: Parallelism,
+    db: &TransactionDb,
+    candidates: Vec<Itemset>,
+    k: usize,
+    min_count: usize,
+    guard: &Guard,
+) -> Result<Vec<(Itemset, usize)>, TruncationReason> {
+    let tree = HashTree::build(candidates, k, HASH_TREE_FANOUT, HASH_TREE_LEAF_CAPACITY);
+    let obs = guard.obs();
+    if obs.enabled() {
+        // The paper's memory claim for Apriori: the hash tree is the
+        // pass's big intermediate, and it stays small relative to the
+        // database in late passes.
+        let bytes = tree.heap_bytes() as f64;
+        obs.gauge_max_fmt(
+            format_args!("assoc.{algo}.pass{k}.hashtree_mem_bytes"),
+            bytes,
+        );
+        obs.gauge_max("assoc.mem.hashtree_bytes", bytes);
+    }
+    let state = par_range_map_reduce_governed(
+        par,
+        Chunking::PerThread,
+        db.len(),
+        guard,
+        || tree.new_count_state(),
+        |shard| {
+            let mut state = tree.new_count_state();
+            for (t, txn) in db.transactions()[shard].iter().enumerate() {
+                if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
+                    break;
+                }
+                tree.count_transaction_into(txn, &mut state);
+            }
+            state
+        },
+        |mut a, b| {
+            a.absorb(&b);
+            a
+        },
+    )?;
+    obs.counter_fmt(
+        format_args!("assoc.{algo}.pass{k}.hashtree_visits"),
+        state.node_visits(),
+    );
+    Ok(tree.into_frequent_with(state.counts(), min_count))
+}
+
 /// How candidate supports are counted in passes ≥ 3 (pass 2 always
 /// uses the dense triangular pair array, per the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CountingStrategy {
     /// Hash-tree subset counting (the paper's data structure).
-    HashTree {
-        /// Hash buckets per interior node.
-        fanout: usize,
-        /// Candidates per leaf before splitting.
-        leaf_capacity: usize,
-    },
+    #[default]
+    HashTree,
     /// Check every candidate against every transaction — the naive
     /// baseline, kept for the ablation benchmark.
     Linear,
-}
-
-impl Default for CountingStrategy {
-    fn default() -> Self {
-        CountingStrategy::HashTree {
-            fanout: 8,
-            leaf_capacity: 16,
-        }
-    }
 }
 
 /// Level-wise frequent-itemset miner with `apriori-gen` candidate
@@ -106,44 +210,6 @@ impl Apriori {
     pub fn with_max_len(mut self, max_len: usize) -> Self {
         self.max_len = Some(max_len);
         self
-    }
-
-    /// Pass 1: frequent single items via dense counting, one counter
-    /// array per shard. Shards poll `guard` every [`POLL_STRIDE`]
-    /// transactions; a trip voids the pass.
-    fn frequent_items(
-        par: Parallelism,
-        db: &TransactionDb,
-        min_count: usize,
-        guard: &Guard,
-    ) -> Result<Vec<(Itemset, usize)>, TruncationReason> {
-        let n_items = db.n_items() as usize;
-        let counts = par_range_map_reduce_governed(
-            par,
-            Chunking::PerThread,
-            db.len(),
-            guard,
-            || vec![0usize; n_items],
-            |shard| {
-                let mut counts = vec![0usize; n_items];
-                for (t, txn) in db.transactions()[shard].iter().enumerate() {
-                    if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
-                        break;
-                    }
-                    for &item in txn {
-                        counts[item as usize] += 1;
-                    }
-                }
-                counts
-            },
-            merge_counts,
-        )?;
-        Ok(counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c >= min_count)
-            .map(|(item, &c)| (vec![item as u32], c))
-            .collect())
     }
 
     /// Pass 2: counts all pairs of frequent items with a dense
@@ -221,53 +287,15 @@ impl Apriori {
         guard: &Guard,
     ) -> Result<Vec<(Itemset, usize)>, TruncationReason> {
         match self.counting {
-            CountingStrategy::HashTree {
-                fanout,
-                leaf_capacity,
-            } => {
-                // Build the tree once, then count shards into private
-                // `CountState`s against the now-immutable tree and merge
-                // by summation.
-                let tree = HashTree::build(candidates, k, fanout, leaf_capacity);
-                let obs = guard.obs();
-                if obs.enabled() {
-                    // The paper's memory claim for Apriori: the hash
-                    // tree is the pass's big intermediate, and it stays
-                    // small relative to the database in late passes.
-                    let bytes = tree.heap_bytes() as f64;
-                    obs.gauge_max_fmt(
-                        format_args!("assoc.apriori.pass{k}.hashtree_mem_bytes"),
-                        bytes,
-                    );
-                    obs.gauge_max("assoc.mem.hashtree_bytes", bytes);
-                }
-                let state = par_range_map_reduce_governed(
-                    self.parallelism,
-                    Chunking::PerThread,
-                    db.len(),
-                    guard,
-                    || tree.new_count_state(),
-                    |shard| {
-                        let mut state = tree.new_count_state();
-                        for (t, txn) in db.transactions()[shard].iter().enumerate() {
-                            if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
-                                break;
-                            }
-                            tree.count_transaction_into(txn, &mut state);
-                        }
-                        state
-                    },
-                    |mut a, b| {
-                        a.absorb(&b);
-                        a
-                    },
-                )?;
-                obs.counter_fmt(
-                    format_args!("assoc.apriori.pass{k}.hashtree_visits"),
-                    state.node_visits(),
-                );
-                Ok(tree.into_frequent_with(state.counts(), min_count))
-            }
+            CountingStrategy::HashTree => count_with_hash_tree(
+                "apriori",
+                self.parallelism,
+                db,
+                candidates,
+                k,
+                min_count,
+                guard,
+            ),
             CountingStrategy::Linear => {
                 let counts = par_range_map_reduce_governed(
                     self.parallelism,
@@ -309,7 +337,7 @@ impl Apriori {
 impl ItemsetMiner for Apriori {
     fn name(&self) -> &'static str {
         match self.counting {
-            CountingStrategy::HashTree { .. } => "apriori",
+            CountingStrategy::HashTree => "apriori",
             CountingStrategy::Linear => "apriori-linear",
         }
     }
@@ -342,7 +370,8 @@ impl ItemsetMiner for Apriori {
             }
             let l1 = {
                 let _pass = obs.span("assoc.apriori.pass1");
-                Self::frequent_items(self.parallelism, db, min_count, guard)
+                sharded_item_counts(self.parallelism, db, guard)
+                    .map(|counts| frequent_items(&counts, min_count))
             };
             let Ok(l1) = l1 else {
                 break 'mine;

@@ -23,7 +23,7 @@
 //! and threaded runs admit identically.
 
 use crate::apriori::POLL_STRIDE;
-use crate::itemsets::{FrequentItemsets, Itemset};
+use crate::itemsets::{push_itemset, roll_back, FrequentItemsets, Itemset};
 use crate::stats::MiningStats;
 use crate::{ItemsetMiner, MinSupport, MiningResult};
 use dm_dataset::{DataError, TidSet, TransactionDb, VerticalDb};
@@ -58,14 +58,6 @@ impl EclatCtx<'_> {
         }
         self.cand_by_size[size - 1] += n as u64;
         self.intersections += n as u64;
-    }
-
-    fn emit(&mut self, items: Itemset, count: usize) {
-        let k = items.len();
-        while self.levels.len() < k {
-            self.levels.push(Vec::new());
-        }
-        self.levels[k - 1].push((items, count));
     }
 }
 
@@ -131,7 +123,7 @@ impl Eclat {
             if set.support() >= ctx.min_count {
                 let mut items: Itemset = prefix.clone();
                 items.push(*item);
-                ctx.emit(items, set.support());
+                push_itemset(&mut ctx.levels, items, set.support());
                 class.push((*item, set));
             }
         }
@@ -212,9 +204,7 @@ impl ItemsetMiner for Eclat {
                 let (item, set) = base[bi];
                 let mut prefix: Vec<u32> = Vec::with_capacity(8);
                 if Self::expand_pivot(&mut ctx, item, set, &base[bi + 1..], &mut prefix).is_err() {
-                    for (level, mark) in ctx.levels.iter_mut().zip(marks) {
-                        level.truncate(mark);
-                    }
+                    roll_back(&mut ctx.levels, &marks);
                     break 'mine;
                 }
             }

@@ -23,14 +23,14 @@
 //! `2^p - 1` batch is admitted up front when the single-path shortcut
 //! fires).
 
-use crate::apriori::POLL_STRIDE;
-use crate::itemsets::{FrequentItemsets, Itemset};
+use crate::apriori::{frequent_items, sharded_item_counts, POLL_STRIDE};
+use crate::itemsets::{push_itemset, roll_back, FrequentItemsets, Itemset};
 use crate::stats::MiningStats;
 use crate::{ItemsetMiner, MinSupport, MiningResult};
 use dm_dataset::{DataError, TransactionDb};
 use dm_guard::{Guard, Outcome, TruncationReason};
 use dm_obs::HeapSize;
-use dm_par::{par_range_map_reduce_governed, Chunking, Parallelism};
+use dm_par::Parallelism;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -183,41 +183,6 @@ impl FpGrowth {
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
-    }
-
-    /// Scan 1: per-item support counts (dense, sharded like Apriori's
-    /// first pass).
-    fn item_counts(
-        &self,
-        db: &TransactionDb,
-        guard: &Guard,
-    ) -> Result<Vec<usize>, TruncationReason> {
-        let n_items = db.n_items() as usize;
-        par_range_map_reduce_governed(
-            self.parallelism,
-            Chunking::PerThread,
-            db.len(),
-            guard,
-            || vec![0usize; n_items],
-            |shard| {
-                let mut counts = vec![0usize; n_items];
-                for (t, txn) in db.transactions()[shard].iter().enumerate() {
-                    if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
-                        break;
-                    }
-                    for &item in txn {
-                        counts[item as usize] += 1;
-                    }
-                }
-                counts
-            },
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
-        )
     }
 
     /// Scan 2: the FP-tree over frequency ranks. Polls the guard every
@@ -377,16 +342,6 @@ impl FpGrowth {
     }
 }
 
-/// Appends `(items, count)` to its size level, growing the level list as
-/// needed.
-fn push_itemset(levels: &mut Vec<Vec<(Itemset, usize)>>, items: Itemset, count: usize) {
-    let k = items.len();
-    while levels.len() < k {
-        levels.push(Vec::new());
-    }
-    levels[k - 1].push((items, count));
-}
-
 impl ItemsetMiner for FpGrowth {
     fn name(&self) -> &'static str {
         "fp-growth"
@@ -415,7 +370,7 @@ impl ItemsetMiner for FpGrowth {
             }
             let counts = {
                 let _scan = obs.span("assoc.fp.scan");
-                Self::item_counts(self, db, guard)
+                sharded_item_counts(self.parallelism, db, guard)
             };
             let Ok(counts) = counts else {
                 break 'mine;
@@ -423,19 +378,14 @@ impl ItemsetMiner for FpGrowth {
             scan_time = t0.elapsed();
             // Frequency ranks: descending count, item id breaking ties,
             // so the ordering (and the tree) is deterministic.
-            let mut frequent: Vec<(u32, usize)> = counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c >= min_count)
-                .map(|(item, &c)| (item as u32, c))
-                .collect();
-            frequent.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            let item_of_rank: Vec<u32> = frequent.iter().map(|&(item, _)| item).collect();
+            let mut l1 = frequent_items(&counts, min_count);
+            l1.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            let item_of_rank: Vec<u32> = l1.iter().map(|(items, _)| items[0]).collect();
             let mut rank_of_item = vec![NIL; db.n_items() as usize];
-            for (rank, &(item, _)) in frequent.iter().enumerate() {
+            for (rank, &item) in item_of_rank.iter().enumerate() {
                 rank_of_item[item as usize] = rank as u32;
             }
-            levels.push(frequent.iter().map(|&(item, c)| (vec![item], c)).collect());
+            levels.push(l1);
 
             let tree = {
                 let _build = obs.span("assoc.fp.build");
@@ -480,9 +430,7 @@ impl ItemsetMiner for FpGrowth {
                     res
                 })();
                 if group.is_err() {
-                    for (level, mark) in levels.iter_mut().zip(marks) {
-                        level.truncate(mark);
-                    }
+                    roll_back(&mut levels, &marks);
                     break 'mine;
                 }
             }

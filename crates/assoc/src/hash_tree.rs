@@ -34,7 +34,7 @@ pub struct CountState {
     visited: Vec<u64>,
     generation: u64,
     /// Tree nodes touched while counting (interior hops + leaf checks),
-    /// the `assoc.apriori.pass<k>.hashtree_visits` metric. Pure telemetry:
+    /// the `assoc.<algo>.pass<k>.hashtree_visits` metric. Pure telemetry:
     /// never read back by the algorithm.
     node_visits: u64,
 }
@@ -72,9 +72,6 @@ pub struct HashTree {
     fanout: usize,
     leaf_capacity: usize,
     n_candidates: usize,
-    /// The built-in state used by the single-threaded convenience API
-    /// ([`HashTree::count_transaction`] / [`HashTree::into_frequent`]).
-    state: CountState,
 }
 
 impl HashTree {
@@ -94,12 +91,6 @@ impl HashTree {
             fanout,
             leaf_capacity,
             n_candidates: 0,
-            state: CountState {
-                counts: Vec::new(),
-                visited: Vec::new(),
-                generation: 0,
-                node_visits: 0,
-            },
         }
     }
 
@@ -229,27 +220,8 @@ impl HashTree {
         }
     }
 
-    /// Single-threaded convenience: counts `txn` into the tree's own
-    /// built-in state.
-    pub fn count_transaction(&mut self, txn: &[u32]) {
-        if self.state.counts.len() != self.n_candidates {
-            self.state = self.new_count_state();
-        }
-        let mut state = std::mem::replace(
-            &mut self.state,
-            CountState {
-                counts: Vec::new(),
-                visited: Vec::new(),
-                generation: 0,
-                node_visits: 0,
-            },
-        );
-        self.count_transaction_into(txn, &mut state);
-        self.state = state;
-    }
-
-    /// Drains the tree against an explicit (e.g. shard-merged) count
-    /// vector, returning every `(candidate, count)` pair with
+    /// Drains the tree against a (possibly shard-merged) count vector,
+    /// returning every `(candidate, count)` pair with
     /// `count >= min_count`, lexicographically sorted.
     pub fn into_frequent_with(self, counts: &[usize], min_count: usize) -> Vec<(Itemset, usize)> {
         debug_assert_eq!(counts.len(), self.n_candidates);
@@ -264,22 +236,6 @@ impl HashTree {
         }
         out.sort();
         out
-    }
-
-    /// Drains the tree against its built-in counting state (the
-    /// single-threaded convenience path).
-    pub fn into_frequent(self, min_count: usize) -> Vec<(Itemset, usize)> {
-        let counts = if self.state.counts.len() == self.n_candidates {
-            self.state.counts.clone()
-        } else {
-            vec![0; self.n_candidates]
-        };
-        self.into_frequent_with(&counts, min_count)
-    }
-
-    /// All `(candidate, count)` pairs regardless of count, sorted.
-    pub fn into_counts(self) -> Vec<(Itemset, usize)> {
-        self.into_frequent(0)
     }
 }
 
@@ -300,7 +256,7 @@ impl HeapSize for CountState {
 
 impl HeapSize for HashTree {
     fn heap_bytes(&self) -> usize {
-        self.nodes.heap_bytes() + self.state.heap_bytes()
+        self.nodes.heap_bytes()
     }
 }
 
@@ -310,6 +266,19 @@ mod tests {
     use dm_dataset::TransactionDb;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Counts `txns` into one fresh state and drains `tree` against it.
+    fn count_and_drain<'a>(
+        tree: HashTree,
+        txns: impl IntoIterator<Item = &'a [u32]>,
+        min_count: usize,
+    ) -> Vec<(Itemset, usize)> {
+        let mut state = tree.new_count_state();
+        for txn in txns {
+            tree.count_transaction_into(txn, &mut state);
+        }
+        tree.into_frequent_with(state.counts(), min_count)
+    }
 
     #[test]
     fn counts_match_reference_on_small_db() {
@@ -327,11 +296,8 @@ mod tests {
             vec![1, 5],
             vec![4, 5],
         ];
-        let mut tree = HashTree::build(candidates.clone(), 2, 3, 2);
-        for t in db.iter() {
-            tree.count_transaction(t);
-        }
-        let counts = tree.into_counts();
+        let tree = HashTree::build(candidates.clone(), 2, 3, 2);
+        let counts = count_and_drain(tree, db.iter(), 0);
         for (cand, count) in counts {
             assert_eq!(count, db.support_count(&cand), "candidate {cand:?}");
         }
@@ -359,11 +325,8 @@ mod tests {
                 candidates.push(c);
             }
         }
-        let mut tree = HashTree::build(candidates, 3, 4, 1);
-        for t in db.iter() {
-            tree.count_transaction(t);
-        }
-        for (cand, count) in tree.into_counts() {
+        let tree = HashTree::build(candidates, 3, 4, 1);
+        for (cand, count) in count_and_drain(tree, db.iter(), 0) {
             assert_eq!(count, db.support_count(&cand), "candidate {cand:?}");
         }
     }
@@ -373,9 +336,7 @@ mod tests {
         let mut tree = HashTree::new(1, 2, 4);
         tree.insert(vec![0]);
         tree.insert(vec![1]);
-        tree.count_transaction(&[0]);
-        tree.count_transaction(&[0, 1]);
-        let frequent = tree.into_frequent(2);
+        let frequent = count_and_drain(tree, [&[0][..], &[0, 1]], 2);
         assert_eq!(frequent, vec![(vec![0], 2)]);
     }
 
@@ -383,16 +344,18 @@ mod tests {
     fn short_transactions_skipped() {
         let mut tree = HashTree::new(3, 2, 2);
         tree.insert(vec![1, 2, 3]);
-        tree.count_transaction(&[1, 2]); // too short to contain a 3-set
-        assert_eq!(tree.into_counts(), vec![(vec![1, 2, 3], 0)]);
+        // [1, 2] is too short to contain a 3-set.
+        assert_eq!(
+            count_and_drain(tree, [&[1, 2][..]], 0),
+            vec![(vec![1, 2, 3], 0)]
+        );
     }
 
     #[test]
     fn empty_tree_is_safe() {
-        let mut tree = HashTree::new(2, 4, 4);
+        let tree = HashTree::new(2, 4, 4);
         assert!(tree.is_empty());
-        tree.count_transaction(&[1, 2, 3]);
-        assert!(tree.into_counts().is_empty());
+        assert!(count_and_drain(tree, [&[1, 2, 3][..]], 0).is_empty());
     }
 
     #[test]
@@ -437,8 +400,7 @@ mod tests {
         tree.insert(vec![0, 4]);
         tree.insert(vec![0, 8]);
         tree.insert(vec![4, 8]); // force splits among colliding items
-        tree.count_transaction(&[0, 4, 8]);
-        for (cand, count) in tree.into_counts() {
+        for (cand, count) in count_and_drain(tree, [&[0, 4, 8][..]], 0) {
             assert_eq!(count, 1, "candidate {cand:?}");
         }
     }

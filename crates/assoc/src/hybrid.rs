@@ -12,7 +12,8 @@
 //! pays off when at least one more pass follows (the caveat the paper
 //! itself notes).
 
-use crate::apriori::POLL_STRIDE;
+use crate::apriori::{count_with_hash_tree, POLL_STRIDE};
+use crate::apriori_tid::tid_pass;
 use crate::candidate::apriori_gen;
 use crate::itemsets::{FrequentItemsets, Itemset};
 use crate::stats::MiningStats;
@@ -21,8 +22,7 @@ use dm_dataset::transactions::is_subset_sorted;
 use dm_dataset::{DataError, TransactionDb};
 use dm_guard::{Guard, Outcome, TruncationReason};
 use dm_obs::HeapSize;
-use dm_par::{par_range_map_reduce_governed, Chunking, Parallelism};
-use std::collections::HashMap;
+use dm_par::Parallelism;
 use std::time::Instant;
 
 /// Hybrid Apriori/AprioriTid miner with a support-mass switch heuristic.
@@ -81,8 +81,6 @@ impl ItemsetMiner for AprioriHybrid {
         guard: &Guard,
     ) -> Result<Outcome<MiningResult>, DataError> {
         let min_count = self.min_support.resolve(db)?;
-        // Phase 1: plain Apriori, pass by pass, watching the estimate.
-        let apriori = Apriori::new(MinSupport::Count(min_count)).with_parallelism(self.parallelism);
         let mut stats = MiningStats::default();
         let mut levels: Vec<Vec<(Itemset, usize)>> = Vec::new();
 
@@ -94,7 +92,10 @@ impl ItemsetMiner for AprioriHybrid {
             // C̄ over pairs would dwarf the database), delegated to the
             // public miner — under the *same* guard, so its budget and
             // cancellation flow through.
-            let full = apriori.clone().with_max_len(2).mine_governed(db, guard)?;
+            let full = Apriori::new(MinSupport::Count(min_count))
+                .with_parallelism(self.parallelism)
+                .with_max_len(self.max_len.map_or(2, |m| m.min(2)))
+                .mine_governed(db, guard)?;
             for p in &full.result.stats.passes {
                 // The delegated passes ran under `assoc.apriori.pass<k>`
                 // live spans; mirror their durations into this miner's
@@ -165,18 +166,21 @@ impl ItemsetMiner for AprioriHybrid {
 
                 let counted: Result<Vec<(Itemset, usize)>, TruncationReason> = match &mut tidlists {
                     // Apriori-style counting against the raw database.
-                    None => {
-                        apriori_count(self.parallelism, db, &candidates, k + 1, min_count, guard)
-                    }
-                    Some(lists) => {
-                        // AprioriTid-style join over C̄_k.
-                        tid_pass(&prev, &candidates, lists, min_count, guard).map(
-                            |(lk, next_lists)| {
-                                *lists = next_lists;
-                                lk
-                            },
-                        )
-                    }
+                    None => count_with_hash_tree(
+                        "apriori_hybrid",
+                        self.parallelism,
+                        db,
+                        candidates,
+                        k + 1,
+                        min_count,
+                        guard,
+                    ),
+                    // AprioriTid-style join over C̄_k.
+                    Some(lists) => tid_pass(&prev, candidates, lists, min_count, guard, |_| {})
+                        .map(|(lk, next_lists)| {
+                            *lists = next_lists;
+                            lk
+                        }),
                 };
                 let Ok(frequent) = counted else {
                     break 'mine;
@@ -215,136 +219,6 @@ impl ItemsetMiner for AprioriHybrid {
     }
 }
 
-/// Hash-tree counting of `candidates` (size `k`) against the database,
-/// sharded Count Distribution-style when `par` allows. The guard is
-/// polled inside each shard (bounded cancellation latency) and checked
-/// once more after the merge.
-fn apriori_count(
-    par: Parallelism,
-    db: &TransactionDb,
-    candidates: &[Itemset],
-    k: usize,
-    min_count: usize,
-    guard: &Guard,
-) -> Result<Vec<(Itemset, usize)>, TruncationReason> {
-    let tree = crate::hash_tree::HashTree::build(candidates.to_vec(), k, 8, 16);
-    let obs = guard.obs();
-    if obs.enabled() {
-        let bytes = tree.heap_bytes() as f64;
-        obs.gauge_max_fmt(
-            format_args!("assoc.apriori_hybrid.pass{k}.hashtree_mem_bytes"),
-            bytes,
-        );
-        obs.gauge_max("assoc.mem.hashtree_bytes", bytes);
-    }
-    let state = par_range_map_reduce_governed(
-        par,
-        Chunking::PerThread,
-        db.len(),
-        guard,
-        || tree.new_count_state(),
-        |shard| {
-            let mut state = tree.new_count_state();
-            for (t, txn) in db.transactions()[shard].iter().enumerate() {
-                if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
-                    break;
-                }
-                tree.count_transaction_into(txn, &mut state);
-            }
-            state
-        },
-        |mut a, b| {
-            a.absorb(&b);
-            a
-        },
-    )?;
-    guard.obs().counter_fmt(
-        format_args!("assoc.apriori_hybrid.pass{k}.hashtree_visits"),
-        state.node_visits(),
-    );
-    Ok(tree.into_frequent_with(state.counts(), min_count))
-}
-
-/// Frequent `(itemset, count)` pairs plus the next pass's `C̄` tid-lists.
-type TidPassOutput = (Vec<(Itemset, usize)>, Vec<Vec<u32>>);
-
-/// One AprioriTid join pass: counts `candidates` (generated from `prev`)
-/// via the candidate-id lists, returning the frequent sets and the next
-/// `C̄` (remapped to dense ids over the frequent candidates).
-fn tid_pass(
-    prev: &[Itemset],
-    candidates: &[Itemset],
-    tidlists: &[Vec<u32>],
-    min_count: usize,
-    guard: &Guard,
-) -> Result<TidPassOutput, TruncationReason> {
-    let prev_id: HashMap<&[u32], u32> = prev
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.as_slice(), i as u32))
-        .collect();
-    let mut generators: Vec<(u32, u32)> = Vec::with_capacity(candidates.len());
-    let mut by_g1: Vec<Vec<u32>> = vec![Vec::new(); prev.len()];
-    for (cid, cand) in candidates.iter().enumerate() {
-        let n = cand.len();
-        let mut g1 = cand.clone();
-        g1.remove(n - 1);
-        let mut g2 = cand.clone();
-        g2.remove(n - 2);
-        let id1 = prev_id[g1.as_slice()];
-        let id2 = prev_id[g2.as_slice()];
-        generators.push((id1, id2));
-        by_g1[id1 as usize].push(cid as u32);
-    }
-    let mut stamp = vec![u32::MAX; prev.len()];
-    let mut counts = vec![0usize; candidates.len()];
-    let mut next: Vec<Vec<u32>> = Vec::with_capacity(tidlists.len());
-    for (gen, ids) in tidlists.iter().enumerate() {
-        if gen.is_multiple_of(POLL_STRIDE) {
-            guard.check()?;
-        }
-        let gen = gen as u32;
-        for &id in ids {
-            stamp[id as usize] = gen;
-        }
-        let mut present = Vec::new();
-        for &id in ids {
-            for &cid in &by_g1[id as usize] {
-                let (_, g2) = generators[cid as usize];
-                if stamp[g2 as usize] == gen {
-                    counts[cid as usize] += 1;
-                    present.push(cid);
-                }
-            }
-        }
-        if !present.is_empty() {
-            present.sort_unstable();
-            next.push(present);
-        }
-    }
-    let mut new_id = vec![u32::MAX; candidates.len()];
-    let mut lk = Vec::new();
-    for (cid, cand) in candidates.iter().enumerate() {
-        if counts[cid] >= min_count {
-            new_id[cid] = lk.len() as u32;
-            lk.push((cand.clone(), counts[cid]));
-        }
-    }
-    for ids in &mut next {
-        ids.retain_mut(|cid| {
-            let mapped = new_id[*cid as usize];
-            if mapped == u32::MAX {
-                false
-            } else {
-                *cid = mapped;
-                true
-            }
-        });
-    }
-    next.retain(|ids| !ids.is_empty());
-    Ok((lk, next))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,8 +235,17 @@ mod tests {
 
     #[test]
     fn matches_other_miners_whatever_the_budget() {
+        // Per-pass work as (pass, candidates, frequent): the hash-tree and
+        // TID-join passes must count exactly Apriori's candidates.
+        let work = |r: &MiningResult| -> Vec<(usize, usize, usize)> {
+            r.stats
+                .passes
+                .iter()
+                .map(|p| (p.pass, p.candidates, p.frequent))
+                .collect()
+        };
         let db = paper_db();
-        for budget in [0usize, 3, 10, 1_000_000] {
+        for budget in [0usize, 3, 10, 1_000_000, usize::MAX] {
             for min in 1..=3 {
                 let hybrid = AprioriHybrid::new(MinSupport::Count(min))
                     .with_tid_budget(budget)
@@ -373,6 +256,8 @@ mod tests {
                     hybrid.itemsets, reference.itemsets,
                     "budget {budget} min {min}"
                 );
+                let apriori = Apriori::new(MinSupport::Count(min)).mine(&db).unwrap();
+                assert_eq!(work(&hybrid), work(&apriori), "budget {budget} min {min}");
             }
         }
     }

@@ -5,6 +5,26 @@ use std::collections::HashMap;
 /// An itemset: a sorted, duplicate-free vector of item ids.
 pub type Itemset = Vec<u32>;
 
+/// Appends `(items, count)` to its size level, growing the level list as
+/// needed (the depth-first miners emit itemsets of any size in any order).
+pub(crate) fn push_itemset(levels: &mut Vec<Vec<(Itemset, usize)>>, items: Itemset, count: usize) {
+    let k = items.len();
+    while levels.len() < k {
+        levels.push(Vec::new());
+    }
+    levels[k - 1].push((items, count));
+}
+
+/// Undoes an all-or-nothing unit of work on `levels`, given the level
+/// lengths taken before it: drops the unit's entries in the levels that
+/// existed and every level it opened.
+pub(crate) fn roll_back(levels: &mut Vec<Vec<(Itemset, usize)>>, marks: &[usize]) {
+    levels.truncate(marks.len());
+    for (level, &mark) in levels.iter_mut().zip(marks) {
+        level.truncate(mark);
+    }
+}
+
 /// All frequent itemsets mined from one database, organized by size
 /// ("level" in the level-wise algorithms), with absolute support counts.
 ///

@@ -12,7 +12,7 @@
 //! assert_eq!(result.itemsets.support_count(&[2, 3, 5]), Some(2));
 //! ```
 //!
-//! Every method produces bit-identical [`FrequentItemsets`] (the
+//! Every method produces bit-identical [`FrequentItemsets`](crate::FrequentItemsets) (the
 //! equivalence suite enforces it), so `Auto` is purely a performance
 //! decision and is safe as the default.
 

@@ -11,7 +11,7 @@
 //! database at low supports, which is exactly the failure mode the
 //! paper's comparison (and experiment E1) exhibits.
 
-use crate::apriori::POLL_STRIDE;
+use crate::apriori::{count_items, frequent_items, POLL_STRIDE};
 use crate::itemsets::{FrequentItemsets, Itemset};
 use crate::stats::MiningStats;
 use crate::{ItemsetMiner, MinSupport, MiningResult};
@@ -70,20 +70,10 @@ impl ItemsetMiner for Setm {
                 break 'mine;
             }
             let mut counts = vec![0usize; db.n_items() as usize];
-            for (t, txn) in db.iter().enumerate() {
-                if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
-                    break 'mine;
-                }
-                for &item in txn {
-                    counts[item as usize] += 1;
-                }
+            if count_items(db.transactions(), &mut counts, guard).is_err() {
+                break 'mine;
             }
-            let l1: Vec<(Itemset, usize)> = counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c >= min_count)
-                .map(|(item, &c)| (vec![item as u32], c))
-                .collect();
+            let l1 = frequent_items(&counts, min_count);
             let frequent_item = {
                 let mut f = vec![false; db.n_items() as usize];
                 for (items, _) in &l1 {

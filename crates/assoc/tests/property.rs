@@ -34,25 +34,47 @@ fn permutation(n: usize, mut seed: u64) -> Vec<usize> {
     perm
 }
 
+/// Applies an optional `with_max_len` cap to a miner builder.
+macro_rules! capped {
+    ($miner:expr, $max_len:expr) => {
+        match $max_len {
+            Some(m) => $miner.with_max_len(m),
+            None => $miner,
+        }
+    };
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn all_miners_match_brute_force(db in small_db(), min in 1usize..6) {
-        let oracle = BruteForce::new(MinSupport::Count(min)).mine(&db).unwrap();
-        let apriori = Apriori::new(MinSupport::Count(min)).mine(&db).unwrap();
-        let linear = Apriori::new(MinSupport::Count(min))
-            .with_counting(CountingStrategy::Linear)
+    fn all_miners_match_brute_force(
+        db in small_db(),
+        min in 1usize..6,
+        max_len in prop::option::of(1usize..4),
+    ) {
+        let oracle = capped!(BruteForce::new(MinSupport::Count(min)), max_len)
             .mine(&db)
             .unwrap();
-        let tid = AprioriTid::new(MinSupport::Count(min)).mine(&db).unwrap();
-        let ais = Ais::new(MinSupport::Count(min)).mine(&db).unwrap();
-        let setm = Setm::new(MinSupport::Count(min)).mine(&db).unwrap();
-        let hybrid_hi = AprioriHybrid::new(MinSupport::Count(min)).mine(&db).unwrap();
-        let hybrid_lo = AprioriHybrid::new(MinSupport::Count(min))
-            .with_tid_budget(0)
+        let apriori = capped!(Apriori::new(MinSupport::Count(min)), max_len).mine(&db).unwrap();
+        let linear = capped!(
+            Apriori::new(MinSupport::Count(min)).with_counting(CountingStrategy::Linear),
+            max_len
+        )
+        .mine(&db)
+        .unwrap();
+        let tid = capped!(AprioriTid::new(MinSupport::Count(min)), max_len).mine(&db).unwrap();
+        let ais = capped!(Ais::new(MinSupport::Count(min)), max_len).mine(&db).unwrap();
+        let setm = capped!(Setm::new(MinSupport::Count(min)), max_len).mine(&db).unwrap();
+        let hybrid_hi = capped!(AprioriHybrid::new(MinSupport::Count(min)), max_len)
             .mine(&db)
             .unwrap();
+        let hybrid_lo = capped!(
+            AprioriHybrid::new(MinSupport::Count(min)).with_tid_budget(0),
+            max_len
+        )
+        .mine(&db)
+        .unwrap();
         prop_assert_eq!(&oracle.itemsets, &apriori.itemsets);
         prop_assert_eq!(&oracle.itemsets, &linear.itemsets);
         prop_assert_eq!(&oracle.itemsets, &tid.itemsets);

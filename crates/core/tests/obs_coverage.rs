@@ -621,7 +621,7 @@ fn watch_alert_and_drift_metrics_cover_the_registry() {
 /// The tail sampler is a metric *producer* like the watcher: one
 /// retain, one sampled drop, one budget eviction and one pin must emit
 /// every `trace.*` name the DESIGN.md registry documents, and nothing
-/// off-convention. (The per-request `serve.request.queue_ns` /
+/// off-convention. (The per-request `serve.queue.wait_ns` /
 /// `serve.request.exec_ns` split is enforced end-to-end by
 /// `crates/serve/tests/trace_serve.rs`, which owns the serving path.)
 #[test]

@@ -38,7 +38,7 @@
 //!
 //! # Fail points
 //!
-//! With the `failpoints` feature, [`Guard::with_failpoint`] arms a
+//! With the `failpoints` feature, `Guard::with_failpoint` arms a
 //! deterministic per-guard counter that trips the guard at the N-th check
 //! site. The property tests sweep N to simulate exhaustion at arbitrary
 //! points and assert: no panic, truncated results uphold their invariants,

@@ -132,8 +132,9 @@ fn layout(len: usize, chunking: Chunking, threads: usize) -> (usize, usize) {
 ///
 /// `guard` adds the check sites — before the pass, before every
 /// sequential chunk, a worker poll before every parallel chunk, and once
-/// after the workers join — and the `par.shard*` telemetry. Without a
-/// guard nothing is checked, no clock is read and nothing is recorded.
+/// after the last chunk (sequential) or after the workers join — and the
+/// `par.shard*` telemetry. Without a guard nothing is checked, no clock
+/// is read and nothing is recorded.
 fn map_reduce<A: Send>(
     par: Parallelism,
     chunking: Chunking,
@@ -175,6 +176,9 @@ fn map_reduce<A: Send>(
             acc = merge(acc, map(range(ci)));
         }
         record(0, t0, len as u64);
+        // As after the workers join: a trip inside the last chunk voids
+        // the pass instead of returning its partial result.
+        check()?;
         return Ok(acc);
     }
     // Shard spans cannot inherit the caller's span through the worker
@@ -519,26 +523,33 @@ mod tests {
     #[test]
     fn governed_workers_observe_mid_run_cancel() {
         // Cancel from inside the map closure: later chunks must be
-        // skipped without panicking, and the pass must report the trip.
+        // skipped without panicking, and the pass must report the trip —
+        // also when only the last chunk (from 9_984) sees the cancel.
         let items: Vec<u64> = (0..10_000).collect();
-        for par in settings() {
-            let guard = Guard::unlimited();
-            let token = guard.cancel_token();
-            let got = par_range_map_reduce_governed(
-                par,
-                Chunking::Fixed(64),
-                items.len(),
-                &guard,
-                || 0u64,
-                |r| {
-                    if r.start >= 1_024 {
-                        token.cancel();
-                    }
-                    items[r].iter().sum()
-                },
-                |a, b| a + b,
-            );
-            assert_eq!(got, Err(dm_guard::TruncationReason::Cancelled), "{par:?}");
+        for cancel_from in [1_024, 9_984] {
+            for par in settings() {
+                let guard = Guard::unlimited();
+                let token = guard.cancel_token();
+                let got = par_range_map_reduce_governed(
+                    par,
+                    Chunking::Fixed(64),
+                    items.len(),
+                    &guard,
+                    || 0u64,
+                    |r| {
+                        if r.start >= cancel_from {
+                            token.cancel();
+                        }
+                        items[r].iter().sum()
+                    },
+                    |a, b| a + b,
+                );
+                assert_eq!(
+                    got,
+                    Err(dm_guard::TruncationReason::Cancelled),
+                    "{par:?} cancel from {cancel_from}"
+                );
+            }
         }
     }
 

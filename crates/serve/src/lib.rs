@@ -8,7 +8,7 @@
 //!
 //! * **Bounded admission** — a fixed-capacity queue sheds excess load
 //!   with the typed [`ServeError::Overloaded`] instead of growing
-//!   without bound ([`queue`]).
+//!   without bound (the `queue` module).
 //! * **Per-request budgets** — every request runs under a
 //!   [`dm_core::guard::Guard`] whose deadline is charged from *submit*
 //!   time, so queue wait eats the budget exactly like compute does.

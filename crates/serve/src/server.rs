@@ -477,7 +477,6 @@ fn run_job(shared: &Shared, job: Job, worker: u32) {
     let waited = submitted.elapsed();
     let queue_ns = waited.as_nanos() as u64;
     obs.value("serve.queue.wait_ns", queue_ns);
-    obs.value("serve.request.queue_ns", queue_ns);
     if let Some(ctx) = &mut trace {
         ctx.events.push(TraceEvent {
             at_ns: queue_ns,

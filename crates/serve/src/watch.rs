@@ -4,7 +4,7 @@
 //! The server does not spawn a watch thread — cadence stays with the
 //! caller (an ops loop, a test, the `dm watch` CLI) via
 //! [`Server::watch_tick`], which keeps every evaluation deterministic
-//! under an injected [`Clock`]. Each tick:
+//! under an injected [`Clock`](dm_core::obs::watch::Clock). Each tick:
 //!
 //! 1. snapshots the *source* recorder (the one the server records into),
 //! 2. runs the [`Watcher`] over it (sliding windows, SLO rules, drift

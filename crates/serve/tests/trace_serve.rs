@@ -111,8 +111,8 @@ fn completed_requests_leave_resolvable_traces_with_exemplars() {
             ex.trace_id
         );
     }
-    // The queue/exec split landed alongside the legacy wait histogram.
-    assert_eq!(snap.histogram("serve.request.queue_ns").unwrap().count, 4);
+    // Every request records its queue wait and its execution time.
+    assert_eq!(snap.histogram("serve.queue.wait_ns").unwrap().count, 4);
     assert_eq!(snap.histogram("serve.request.exec_ns").unwrap().count, 4);
 }
 

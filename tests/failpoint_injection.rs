@@ -91,6 +91,31 @@ fn assert_subset(governed: &FrequentItemsets, full: &FrequentItemsets) {
     }
 }
 
+/// A trip inside a database scan longer than one guard-poll stride (256
+/// transactions) must void that pass, never keep its partial counts.
+#[test]
+fn trips_inside_a_long_scan_keep_counts_exact() {
+    let db = TransactionDb::new(
+        (0..600u32)
+            .map(|t| vec![t % 3, 3 + t % 5, 8 + t % 7, 15])
+            .collect(),
+    );
+    for miner in all_miners(MinSupport::Count(40)) {
+        let full = miner.mine(&db).unwrap();
+        for trip_at in 0..40 {
+            let guard = Guard::unlimited().with_failpoint(trip_at, TruncationReason::Cancelled);
+            let out = miner.mine_governed(&db, &guard).unwrap();
+            assert!(
+                out.result.itemsets.verify_downward_closure(),
+                "{} tripped at check {trip_at}: {:?}",
+                miner.name(),
+                out.result.itemsets
+            );
+            assert_subset(&out.result.itemsets, &full.itemsets);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

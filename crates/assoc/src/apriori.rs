@@ -143,6 +143,113 @@ pub(crate) fn count_with_hash_tree(
     Ok(tree.into_frequent_with(state.counts(), min_count))
 }
 
+/// Pair counters one pass-2 shard holds at most (64 MiB of `u32`s).
+const PAIR_BAND_MAX: usize = 1 << 24;
+
+/// Pass-2 kernel: counts every pair of the frequent items `l1` with a
+/// dense triangular `u32` array — the paper's own treatment of the
+/// second pass, where candidate sets are too large for tree structures
+/// to pay off. The C(m,2) candidates are admitted to `guard` before any
+/// array is allocated; counting is sharded like [`sharded_item_counts`]
+/// and polls every [`POLL_STRIDE`] transactions. When C(m,2) exceeds
+/// [`PAIR_BAND_MAX`], the array is cut into bands of whole rows (pairs
+/// sharing their smaller item), each counted in its own database scan,
+/// so a shard never holds more than that many counters. Returns the
+/// frequent pairs in lexicographic order and the candidate count (0
+/// when fewer than two items are frequent, in which case nothing is
+/// admitted).
+pub(crate) fn frequent_pairs(
+    par: Parallelism,
+    db: &TransactionDb,
+    l1: &[(Itemset, usize)],
+    min_count: usize,
+    guard: &Guard,
+) -> Result<(Vec<(Itemset, usize)>, usize), TruncationReason> {
+    frequent_pairs_banded(par, db, l1, min_count, guard, PAIR_BAND_MAX)
+}
+
+/// [`frequent_pairs`] with bands of at most `band_max` counters (or one
+/// row, when a row is longer).
+fn frequent_pairs_banded(
+    par: Parallelism,
+    db: &TransactionDb,
+    l1: &[(Itemset, usize)],
+    min_count: usize,
+    guard: &Guard,
+    band_max: usize,
+) -> Result<(Vec<(Itemset, usize)>, usize), TruncationReason> {
+    let m = l1.len();
+    if m < 2 {
+        return Ok((Vec::new(), 0));
+    }
+    let n_pairs = m * (m - 1) / 2;
+    guard.try_work(n_pairs as u64)?;
+    // Dense id per frequent item.
+    let mut dense = vec![u32::MAX; db.n_items() as usize];
+    for (id, (items, _)) in l1.iter().enumerate() {
+        dense[items[0] as usize] = id as u32;
+    }
+    // Triangular index for i < j over m items: row i starts at row(i).
+    let row = |i: usize| i * m - i * (i + 1) / 2;
+    let tri = |i: usize, j: usize| row(i) + (j - i - 1);
+    let mut out = Vec::new();
+    // Band [lo, hi) of rows; row m - 1 is empty.
+    let mut lo = 0;
+    while lo < m - 1 {
+        let mut hi = lo + 1;
+        while hi < m - 1 && row(hi + 1) - row(lo) <= band_max {
+            hi += 1;
+        }
+        let base = row(lo);
+        let len = row(hi) - base;
+        let counts = par_range_map_reduce_governed(
+            par,
+            Chunking::PerThread,
+            db.len(),
+            guard,
+            || vec![0u32; len],
+            |shard| {
+                let mut counts = vec![0u32; len];
+                let mut present: Vec<usize> = Vec::new();
+                for (t, txn) in db.transactions()[shard].iter().enumerate() {
+                    if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
+                        break;
+                    }
+                    present.clear();
+                    present.extend(
+                        txn.iter()
+                            .map(|&item| dense[item as usize])
+                            .filter(|&d| d != u32::MAX)
+                            .map(|d| d as usize),
+                    );
+                    for (a, &i) in present.iter().enumerate() {
+                        if i >= hi {
+                            break;
+                        }
+                        if i >= lo {
+                            for &j in &present[a + 1..] {
+                                counts[tri(i, j) - base] += 1;
+                            }
+                        }
+                    }
+                }
+                counts
+            },
+            merge_counts,
+        )?;
+        for i in lo..hi {
+            for j in (i + 1)..m {
+                let c = counts[tri(i, j) - base] as usize;
+                if c >= min_count {
+                    out.push((vec![l1[i].0[0], l1[j].0[0]], c));
+                }
+            }
+        }
+        lo = hi;
+    }
+    Ok((out, n_pairs))
+}
+
 /// How candidate supports are counted in passes ≥ 3 (pass 2 always
 /// uses the dense triangular pair array, per the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -210,71 +317,6 @@ impl Apriori {
     pub fn with_max_len(mut self, max_len: usize) -> Self {
         self.max_len = Some(max_len);
         self
-    }
-
-    /// Pass 2: counts all pairs of frequent items with a dense
-    /// triangular array — the paper's own treatment of the second pass,
-    /// where candidate sets are too large for tree structures to pay off.
-    /// Returns the frequent pairs and the implicit candidate count.
-    fn frequent_pairs(
-        par: Parallelism,
-        db: &TransactionDb,
-        l1: &[(Itemset, usize)],
-        min_count: usize,
-        guard: &Guard,
-    ) -> Result<(Vec<(Itemset, usize)>, usize), TruncationReason> {
-        let m = l1.len();
-        if m < 2 {
-            return Ok((Vec::new(), 0));
-        }
-        // Dense id per frequent item.
-        let mut dense = vec![u32::MAX; db.n_items() as usize];
-        for (id, (items, _)) in l1.iter().enumerate() {
-            dense[items[0] as usize] = id as u32;
-        }
-        let n_pairs = m * (m - 1) / 2;
-        // Triangular index for i < j over m items.
-        let tri = |i: usize, j: usize| i * m - i * (i + 1) / 2 + (j - i - 1);
-        let counts = par_range_map_reduce_governed(
-            par,
-            Chunking::PerThread,
-            db.len(),
-            guard,
-            || vec![0u32; n_pairs],
-            |shard| {
-                let mut counts = vec![0u32; n_pairs];
-                let mut present: Vec<usize> = Vec::new();
-                for (t, txn) in db.transactions()[shard].iter().enumerate() {
-                    if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
-                        break;
-                    }
-                    present.clear();
-                    present.extend(
-                        txn.iter()
-                            .map(|&item| dense[item as usize])
-                            .filter(|&d| d != u32::MAX)
-                            .map(|d| d as usize),
-                    );
-                    for (a, &i) in present.iter().enumerate() {
-                        for &j in &present[a + 1..] {
-                            counts[tri(i, j)] += 1;
-                        }
-                    }
-                }
-                counts
-            },
-            merge_counts,
-        )?;
-        let mut out = Vec::new();
-        for i in 0..m {
-            for j in (i + 1)..m {
-                let c = counts[tri(i, j)] as usize;
-                if c >= min_count {
-                    out.push((vec![l1[i].0[0], l1[j].0[0]], c));
-                }
-            }
-        }
-        Ok((out, n_pairs))
     }
 
     /// Counts `candidates` over the database with the configured strategy.
@@ -392,15 +434,7 @@ impl ItemsetMiner for Apriori {
                 let pass: Result<(Vec<(Itemset, usize)>, usize), TruncationReason> = if k == 1
                     && self.pair_array
                 {
-                    // Dense triangular-array counting for the pair pass.
-                    // The candidate count is known analytically, so the
-                    // work is admitted *before* the array is even
-                    // allocated.
-                    let m = levels[0].len();
-                    let n_pairs = m * (m - 1) / 2;
-                    guard.try_work(n_pairs as u64).and_then(|()| {
-                        Self::frequent_pairs(self.parallelism, db, &levels[0], min_count, guard)
-                    })
+                    frequent_pairs(self.parallelism, db, &levels[0], min_count, guard)
                 } else {
                     let prev: Vec<Itemset> = levels[k - 1].iter().map(|(i, _)| i.clone()).collect();
                     let candidates = if k == 1 {
@@ -543,5 +577,37 @@ mod tests {
         let result = Apriori::new(MinSupport::Count(2)).mine(&db).unwrap();
         assert_eq!(result.itemsets.len(), 1);
         assert_eq!(result.itemsets.support_count(&[0]), Some(2));
+    }
+
+    #[test]
+    fn banded_pair_counts_match_one_band() {
+        // 30 items, each transaction a hashed ~1/3 of them.
+        let db = TransactionDb::new(
+            (0..300u32)
+                .map(|t| {
+                    (0..30u32)
+                        .filter(|&i| {
+                            (t.wrapping_mul(0x9E37_79B9) ^ i.wrapping_mul(0x85EB_CA6B)) % 3 == 0
+                        })
+                        .collect()
+                })
+                .collect(),
+        );
+        let l1: Vec<(Itemset, usize)> = (0..30u32)
+            .map(|i| (vec![i], db.support_count(&[i])))
+            .filter(|&(_, c)| c >= 20)
+            .collect();
+        assert!(l1.len() > 20);
+        let guard = Guard::unlimited();
+        let whole =
+            frequent_pairs_banded(Parallelism::Sequential, &db, &l1, 40, &guard, usize::MAX)
+                .unwrap();
+        assert!(!whole.0.is_empty());
+        for band_max in [1, 7, 50, 200] {
+            for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+                let banded = frequent_pairs_banded(par, &db, &l1, 40, &guard, band_max).unwrap();
+                assert_eq!(banded, whole, "band_max {band_max}, {par:?}");
+            }
+        }
     }
 }

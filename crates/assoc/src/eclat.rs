@@ -10,19 +10,32 @@
 //! when sparse (galloping intersection), with the representation chosen
 //! per column by [`dm_dataset::vertical::DENSE_CUTOVER`].
 //!
+//! L₁ comes from the columns. L₂ comes, as in Zaki's Eclat, from one
+//! horizontal pass: the shared triangular pair kernel that also counts
+//! Apriori's pass 2. Almost all of C₂ is infrequent on sparse data, so
+//! this replaces C(m,2) tid-set intersections with one scan. Each
+//! top-level branch then intersects its item's column only with its
+//! *frequent* partners, which materializes the 2-itemset tid-sets the
+//! depth-first search starts from.
+//!
 //! ## Governance
 //!
-//! The truncation unit is the **top-level branch**: all itemsets whose
-//! *smallest* item is `i` are mined while expanding `i`'s branch, and
-//! branches run in descending item order, each all-or-nothing. Every
-//! proper subset of an emitted itemset either keeps the branch's minimum
-//! item (same branch, which completed) or drops it (a higher minimum —
-//! an earlier branch), so a truncated result stays downward closed. The
-//! guard's work unit is one tid-set intersection — one candidate
-//! admitted to counting — batched per equivalence class so sequential
-//! and threaded runs admit identically.
+//! The pair pass is all-or-nothing: its C(m,2) candidates are admitted
+//! before the pair array is allocated, and a trip inside it leaves L₁
+//! alone. After it, the truncation unit is the **top-level branch**:
+//! all itemsets of three or more items whose *smallest* item is `i` are
+//! mined while expanding `i`'s branch, and branches run in descending
+//! item order, each all-or-nothing. Every proper subset of an emitted
+//! itemset either has at most two items (the complete L₁ and L₂), keeps
+//! the branch's minimum item (same branch, which completed) or drops it
+//! (a higher minimum — an earlier branch), so a truncated result stays
+//! downward closed. From level 3 on the guard's work unit is one
+//! tid-set intersection — one candidate admitted to counting — batched
+//! per equivalence class so sequential and threaded runs admit
+//! identically. The intersections that materialize the frequent pairs
+//! were admitted as part of C₂ and are not charged again.
 
-use crate::apriori::POLL_STRIDE;
+use crate::apriori::{frequent_pairs, POLL_STRIDE};
 use crate::itemsets::{push_itemset, roll_back, FrequentItemsets, Itemset};
 use crate::stats::MiningStats;
 use crate::{ItemsetMiner, MinSupport, MiningResult};
@@ -31,7 +44,7 @@ use dm_guard::{Guard, Outcome, TruncationReason};
 use dm_obs::HeapSize;
 use dm_par::{par_map_indexed, Parallelism};
 use std::borrow::Borrow;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Extension batches at least this large are spread across threads (the
 /// per-intersection cost is too small to amortize a join below it).
@@ -45,8 +58,9 @@ struct EclatCtx<'a> {
     parallelism: Parallelism,
     guard: &'a Guard,
     levels: Vec<Vec<(Itemset, usize)>>,
-    /// Intersections attempted per result size (index = size - 1).
+    /// Candidates admitted per result size (index = size - 1).
     cand_by_size: Vec<u64>,
+    /// Tid-set intersections actually performed.
     intersections: u64,
     max_depth: usize,
 }
@@ -57,7 +71,26 @@ impl EclatCtx<'_> {
             self.cand_by_size.push(0);
         }
         self.cand_by_size[size - 1] += n as u64;
-        self.intersections += n as u64;
+    }
+
+    /// Intersects `pivot_set` with every extension's tid-set, in order;
+    /// batches of at least [`PAR_BATCH_MIN`] are spread across threads.
+    fn intersect_all<S: Borrow<TidSet> + Sync>(
+        &mut self,
+        pivot_set: &TidSet,
+        exts: &[(u32, S)],
+    ) -> Vec<TidSet> {
+        self.intersections += exts.len() as u64;
+        let n_rows = self.n_rows;
+        if exts.len() >= PAR_BATCH_MIN {
+            par_map_indexed(self.parallelism, exts, |_, (_, s)| {
+                pivot_set.intersect(s.borrow(), n_rows)
+            })
+        } else {
+            exts.iter()
+                .map(|(_, s)| pivot_set.intersect(s.borrow(), n_rows))
+                .collect()
+        }
     }
 }
 
@@ -79,8 +112,9 @@ impl Eclat {
         }
     }
 
-    /// Sets how intersection batches are spread across threads. The
-    /// batch is admitted to the guard up front and mapped
+    /// Sets how the pair pass and intersection batches are spread
+    /// across threads. The pair pass merges shard counters by summation,
+    /// and each batch is admitted to the guard up front and mapped
     /// order-preservingly, so results are bit-identical for every
     /// setting.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
@@ -108,16 +142,7 @@ impl Eclat {
         prefix.push(pivot_item);
         ctx.max_depth = ctx.max_depth.max(prefix.len());
         ctx.note_candidates(prefix.len() + 1, exts.len());
-        let n_rows = ctx.n_rows;
-        let sets: Vec<TidSet> = if exts.len() >= PAR_BATCH_MIN {
-            par_map_indexed(ctx.parallelism, exts, |_, (_, s)| {
-                pivot_set.intersect(s.borrow(), n_rows)
-            })
-        } else {
-            exts.iter()
-                .map(|(_, s)| pivot_set.intersect(s.borrow(), n_rows))
-                .collect()
-        };
+        let sets = ctx.intersect_all(pivot_set, exts);
         let mut class: Vec<(u32, TidSet)> = Vec::new();
         for ((item, _), set) in exts.iter().zip(sets) {
             if set.support() >= ctx.min_count {
@@ -127,11 +152,21 @@ impl Eclat {
                 class.push((*item, set));
             }
         }
-        for i in 0..class.len().saturating_sub(1) {
-            let (item, set) = (class[i].0, &class[i].1);
-            Self::expand_pivot(ctx, item, set, &class[i + 1..], prefix)?;
-        }
+        Self::expand_class(ctx, &class, prefix)?;
         prefix.pop();
+        Ok(())
+    }
+
+    /// Expands every member of a frequent class as a pivot against the
+    /// members after it (the last has none).
+    fn expand_class(
+        ctx: &mut EclatCtx<'_>,
+        class: &[(u32, TidSet)],
+        prefix: &mut Vec<u32>,
+    ) -> Result<(), TruncationReason> {
+        for i in 0..class.len().saturating_sub(1) {
+            Self::expand_pivot(ctx, class[i].0, &class[i].1, &class[i + 1..], prefix)?;
+        }
         Ok(())
     }
 }
@@ -162,7 +197,8 @@ impl ItemsetMiner for Eclat {
             max_depth: 0,
         };
         let t0 = Instant::now();
-        let mut build_time = std::time::Duration::ZERO;
+        let mut build_time = Duration::ZERO;
+        let mut pairs_time = Duration::ZERO;
 
         'mine: {
             // Materializing the vertical layout counts every singleton:
@@ -182,28 +218,58 @@ impl ItemsetMiner for Eclat {
             if obs.enabled() {
                 obs.gauge_max("assoc.mem.vertical_bytes", vertical.heap_bytes() as f64);
             }
-            // L1 and the base equivalence class, ascending by item id so
-            // DFS emissions come out with sorted members.
-            let base: Vec<(u32, &TidSet)> = (0..vertical.n_items() as u32)
-                .map(|item| (item, vertical.column(item)))
-                .filter(|(_, set)| set.support() >= min_count)
-                .collect();
+            // L1, ascending by item id so DFS emissions come out with
+            // sorted members.
             ctx.levels.push(
-                base.iter()
-                    .map(|&(item, set)| (vec![item], set.support()))
+                (0..vertical.n_items() as u32)
+                    .map(|item| (vec![item], vertical.column(item).support()))
+                    .filter(|&(_, support)| support >= min_count)
                     .collect(),
             );
+
+            // L2 in one horizontal pass, all-or-nothing.
+            let t1 = Instant::now();
+            let pairs = {
+                let _pairs = obs.span("assoc.eclat.pairs");
+                frequent_pairs(self.parallelism, db, &ctx.levels[0], min_count, guard)
+            };
+            let Ok((pairs, n_pairs)) = pairs else {
+                break 'mine;
+            };
+            pairs_time = t1.elapsed();
+            if n_pairs > 0 {
+                // Every pivot's pairs were counted: the top-level
+                // prefixes are expanded.
+                ctx.note_candidates(2, n_pairs);
+                ctx.max_depth = 1;
+            }
+            // Each item's frequent partners, ascending (the kernel emits
+            // pairs in lexicographic order).
+            let branches: Vec<(u32, Vec<u32>)> = pairs
+                .chunk_by(|a, b| a.0[0] == b.0[0])
+                .map(|run| (run[0].0[0], run.iter().map(|(pair, _)| pair[1]).collect()))
+                .collect();
+            if !pairs.is_empty() {
+                ctx.levels.push(pairs);
+            }
 
             // Top-level branches in DESCENDING item order, each
             // all-or-nothing: on a trip the current branch rolls back
             // and the completed (higher-item) branches remain (see
             // module docs for why that is downward closed).
             let _mine = obs.span("assoc.eclat.mine");
-            for bi in (0..base.len()).rev() {
+            for (pivot, partners) in branches.iter().rev() {
                 let marks: Vec<usize> = ctx.levels.iter().map(Vec::len).collect();
-                let (item, set) = base[bi];
+                let pivot_set = vertical.column(*pivot);
+                let exts: Vec<(u32, &TidSet)> = partners
+                    .iter()
+                    .map(|&item| (item, vertical.column(item)))
+                    .collect();
+                let sets = ctx.intersect_all(pivot_set, &exts);
+                let class: Vec<(u32, TidSet)> = partners.iter().copied().zip(sets).collect();
                 let mut prefix: Vec<u32> = Vec::with_capacity(8);
-                if Self::expand_pivot(&mut ctx, item, set, &base[bi + 1..], &mut prefix).is_err() {
+                prefix.push(*pivot);
+                if Self::expand_class(&mut ctx, &class, &mut prefix).is_err() {
                     roll_back(&mut ctx.levels, &marks);
                     break 'mine;
                 }
@@ -211,18 +277,14 @@ impl ItemsetMiner for Eclat {
         }
 
         let mut stats = MiningStats::default();
-        let n_passes = ctx.levels.len().max(if ctx.cand_by_size.is_empty() {
-            0
-        } else {
-            ctx.cand_by_size.len()
-        });
+        let n_passes = ctx.levels.len().max(ctx.cand_by_size.len());
         for k in 0..n_passes {
             let candidates = ctx.cand_by_size.get(k).copied().unwrap_or(0) as usize;
             let frequent = ctx.levels.get(k).map(Vec::len).unwrap_or(0);
-            let d = if k == 0 {
-                build_time
-            } else {
-                std::time::Duration::ZERO
+            let d = match k {
+                0 => build_time,
+                1 => pairs_time,
+                _ => Duration::ZERO,
             };
             stats.push(k + 1, candidates, frequent, d);
         }
@@ -278,22 +340,39 @@ mod tests {
 
     #[test]
     fn parallel_batches_match_sequential() {
-        // Wide db whose top-level class crosses PAR_BATCH_MIN: ~1/4-density
-        // hashed fill keeps most of the 80 items frequent at 10% support
-        // while pair supports stay low enough to bound the search.
+        // Wide db whose top-level class crosses PAR_BATCH_MIN: item 0 is
+        // in every transaction, so it pairs frequently with every other
+        // frequent item; a well-mixed ~1/4-density hash fill keeps the 80
+        // items frequent at 10% support while the other pair supports
+        // stay low enough to bound the search.
         let db = TransactionDb::new(
             (0..200u32)
                 .map(|t| {
                     (0..80u32)
                         .filter(|&i| {
-                            let x = t.wrapping_mul(0x9E37_79B9) ^ i.wrapping_mul(0x85EB_CA6B);
-                            (x >> 13) % 4 == 0
+                            let mut x = t.wrapping_mul(0x9E37_79B9) ^ i.wrapping_mul(0x85EB_CA6B);
+                            x ^= x >> 16;
+                            x = x.wrapping_mul(0x7FEB_352D);
+                            x ^= x >> 15;
+                            x = x.wrapping_mul(0x846C_A68B);
+                            x ^= x >> 16;
+                            i == 0 || x % 4 == 0
                         })
                         .collect()
                 })
                 .collect(),
         );
         let seq = Eclat::new(MinSupport::Fraction(0.1)).mine(&db).unwrap();
+        let item0_partners = seq
+            .itemsets
+            .level(2)
+            .iter()
+            .filter(|(pair, _)| pair[0] == 0)
+            .count();
+        assert!(
+            item0_partners > PAR_BATCH_MIN,
+            "item 0's class has {item0_partners} members"
+        );
         let par = Eclat::new(MinSupport::Fraction(0.1))
             .with_parallelism(Parallelism::Threads(4))
             .mine(&db)

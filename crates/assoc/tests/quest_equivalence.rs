@@ -41,6 +41,10 @@ fn fp_growth_and_eclat_match_apriori_on_quest_workloads() {
             let eclat = Eclat::new(min).mine(db).unwrap();
             assert_result_identical(&fp, &apriori, &format!("fp-growth, workload {w} {min:?}"));
             assert_result_identical(&eclat, &apriori, &format!("eclat, workload {w} {min:?}"));
+            // Both count L2 with the shared triangular pair kernel.
+            let pass2 =
+                |r: &MiningResult| (r.stats.passes[1].candidates, r.stats.passes[1].frequent);
+            assert_eq!(pass2(&eclat), pass2(&apriori), "workload {w} {min:?}");
             assert!(fp.itemsets.verify_downward_closure());
         }
     }

@@ -317,6 +317,44 @@ fn eclat_projection_depth_tracks_longest_itemset() {
     assert!(snap.gauge("assoc.mem.vertical_bytes").unwrap() > 0.0);
 }
 
+/// Eclat counts L2 with the shared pair array, not by intersecting
+/// tid-sets, so it never intersects an infrequent pair: one
+/// intersection materializes each frequent pair's tid-set, and from
+/// level 3 on there is one per candidate. The pair pass shows as its
+/// own span.
+#[test]
+fn eclat_never_intersects_an_infrequent_pair() {
+    let db = quest_small();
+    let (_, snap) = mine_with_metrics(&Eclat::new(MINSUP), &db);
+    let candidates = per_pass(&snap, "eclat", "candidates");
+    let frequent = per_pass(&snap, "eclat", "frequent");
+    assert!(candidates[1] > frequent[1], "pass 2 pruned no pair");
+    let expected = frequent[1] + candidates[2..].iter().sum::<u64>();
+    assert_eq!(snap.counter("assoc.eclat.intersections"), Some(expected));
+    assert!(snap.spans.contains_key("assoc.eclat.pairs"));
+}
+
+/// Eclat's pass statistics do not depend on whether a pair pass ran:
+/// with one frequent item it reports one pass and depth 0; with two
+/// frequent items and no frequent pair, two passes (one candidate) and
+/// depth 1, as when every pair was intersected.
+#[test]
+fn eclat_stats_with_one_or_two_frequent_items() {
+    let min = MinSupport::Count(2);
+    let one = TransactionDb::new(vec![vec![0], vec![0], vec![1]]);
+    let (_, snap) = mine_with_metrics(&Eclat::new(min), &one);
+    assert_eq!(per_pass(&snap, "eclat", "frequent"), [1]);
+    assert_eq!(snap.gauge("assoc.eclat.max_depth"), Some(0.0));
+    assert_eq!(snap.counter("assoc.eclat.intersections"), Some(0));
+
+    let two = TransactionDb::new(vec![vec![0], vec![0], vec![1], vec![1, 2]]);
+    let (_, snap) = mine_with_metrics(&Eclat::new(min), &two);
+    assert_eq!(per_pass(&snap, "eclat", "candidates"), [3, 1]);
+    assert_eq!(per_pass(&snap, "eclat", "frequent"), [2, 0]);
+    assert_eq!(snap.gauge("assoc.eclat.max_depth"), Some(1.0));
+    assert_eq!(snap.counter("assoc.eclat.intersections"), Some(0));
+}
+
 /// The hash-tree visit counter (A1's ablation currency) must be live:
 /// recorded for Apriori whenever a pass at k >= 3 actually counted
 /// candidates through the tree.
